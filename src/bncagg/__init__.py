@@ -8,15 +8,10 @@ rank evolution on a line network, and seeded oracles that validate it all.
 from .frame import (
     AggregationContext,
     EfficiencyProfile,
-    beta,
-    beta_prime,
     expected_rank_increment,
     frame_efficiency,
     frame_size,
-    gamma,
-    gamma_prime,
     max_feasible_n,
-    omega,
     optimize_n,
 )
 from .network import (
@@ -52,6 +47,7 @@ from .probability import (
     bnc_packet_survival,
     header_survival,
 )
+from .reference import beta, beta_prime, gamma, gamma_prime, omega
 
 __all__ = [
     "AggregationContext",

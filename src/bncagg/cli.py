@@ -163,7 +163,7 @@ def cmd_validate(config: ScenarioConfig, out: TextIO) -> int:
     plr = config.plrs[0]
     mode_name = CHECKSUM if config.integrity == BOTH else config.integrity
     ctx = config.context(plr, mode_name)
-    analytical = expected_rank_increment(4, ctx) if config.batch_size >= 1 else 0.0
+    analytical = expected_rank_increment(4, ctx)
     for mode in (RANK_COUNTING, GF256_MATRIX):
         est = simulate_period(
             TrialConfig(ctx=ctx, n=4, seed=config.seed, trials=config.trials, mode=mode)
@@ -216,7 +216,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args: argparse.Namespace) -> ScenarioConfig:
+    # Built-in defaults, then the config file, then flags; throughput
+    # compares both integrity modes unless told otherwise.
     config = ScenarioConfig()
+    if args.command == "throughput":
+        config = dataclasses.replace(config, integrity=BOTH)
     if args.config:
         config = load_config_file(args.config, config)
     updates: dict = {}
@@ -246,10 +250,7 @@ def _config_from_args(args: argparse.Namespace) -> ScenarioConfig:
         updates["trials"] = args.trials
     if args.mc:
         updates["mc"] = True
-    config = dataclasses.replace(config, **updates)
-    if args.command == "throughput" and args.integrity is None and "integrity" not in updates:
-        config = dataclasses.replace(config, integrity=BOTH)
-    return config
+    return dataclasses.replace(config, **updates)
 
 
 _COMMANDS = {

@@ -1,31 +1,46 @@
 """Frame sizing, expected rank increment per frame, and the optimizer over N.
 
-The expected rank increment E averages, over the periodic phase structure,
-the rank a frame's batches add at the next node given the frame's own header
-arrives.  Frame efficiency is then d * K * E / S(N).
+The model core is the lineage reception pmf pi_N: the frame boundaries split
+each batch of a period into groups (``phases.batch_lineages``), each group
+rides its own frame, and pi_N[j] is the probability that a batch gets j of
+its M packets through, averaged over the batches of the period.  The
+expected rank increment E a frame adds at the next node, given the frame's
+own header arrives, follows from pi_N in one dot product, and frame
+efficiency is d * K * E / S(N).
+
+pi_N depends on (M, N, f, d) but not on the rank distribution, so it is
+cached: an ``optimize_n`` scan and every hop of a line network at the same
+loss rate share the entries.  The paper's phase-average terms (beta, gamma,
+omega) compute the same E frame by frame; they live in ``reference`` and
+the tests hold this module to them.
 """
 
 from __future__ import annotations
 
-import math
+import functools
 from dataclasses import dataclass, replace
+
+import numpy as np
 
 from .params import (
     ChannelParams,
     CodeParams,
     InfeasibleError,
     ParameterError,
-    PhaseError,
     RankDistribution,
 )
-from .phases import case_i_phases, case_ii_partial_phases, case_ii_sk_pairs
+from .phases import batch_lineages
 from .probability import (
     ber_from_plr,
     bin_d_pmf,
-    binom_pmf,
     bnc_packet_survival,
     header_survival,
 )
+
+# Bound on the cached pi_N arrays.  A 10-hop line-network run at one loss
+# rate touches one entry per feasible N; the README figures touch a few
+# hundred in all.
+_PMF_CACHE_SIZE = 1024
 
 
 @dataclass(frozen=True)
@@ -110,150 +125,51 @@ def max_feasible_n(channel: ChannelParams, code: CodeParams) -> int:
     return n
 
 
-def beta_prime(length: int, ctx: AggregationContext) -> float:
-    """Expected rank increment of a fresh batch with ``length`` packets aboard.
-
-    Conditioned on the frame payload being delivered.
-    """
-    m = ctx.code.batch_size
-    if not 0 <= length <= m:
-        raise ParameterError(f"need 0 <= length <= {m}, got {length}")
-    emin = _expected_min_table(ctx)
-    return sum(
-        binom_pmf(j, length, ctx.f) * emin[j] for j in range(length + 1)
-    )
-
-
-def beta(length: int, ctx: AggregationContext) -> float:
-    """Expected rank increment of a batch finishing in this frame.
-
-    The other M - length packets of the batch rode a single earlier frame.
-    Conditioned on this frame's payload being delivered.
-    """
-    m = ctx.code.batch_size
-    if not 1 <= length <= m:
-        raise ParameterError(f"need 1 <= length <= {m}, got {length}")
-    hbar = ctx.rank_dist.masses
-    prior = m - length
-    prior_pmf = [bin_d_pmf(i, prior, ctx.f, ctx.d) for i in range(prior + 1)]
-    total = 0.0
-    for j in range(length + 1):
-        pj = binom_pmf(j, length, ctx.f)
-        if pj == 0.0:
-            continue
-        inner = 0.0
-        for i, pi in enumerate(prior_pmf):
-            if pi == 0.0:
-                continue
-            inner += pi * sum(
-                hbar[r - 1] * max(min(j, r - i), 0) for r in range(1, m + 1)
-            )
-        total += pj * inner
-    return total
-
-
-def omega(
-    r: int,
-    j: int,
-    prior_partial: int,
-    full_frames: int,
-    already: int,
-    n: int,
-    ctx: AggregationContext,
-) -> float:
-    """Residual increment term for a batch split over several earlier frames.
-
-    ``full_frames`` earlier frames carried n packets of the batch each and the
-    earliest frame carried ``prior_partial`` of them; ``already`` ranks were
-    received before those.  Returns E[(min(j, r - received))^+].
-    """
-    m = ctx.code.batch_size
-    if full_frames < 0 or already < 0:
-        raise ParameterError("recursion arguments must be nonnegative")
-    if not 0 <= prior_partial < max(n, 1) + 1:
-        raise ParameterError(f"prior_partial must be in 0..{n}, got {prior_partial}")
-    if full_frames > math.ceil(m / n):
-        raise ParameterError(
-            f"recursion depth {full_frames} exceeds ceil(M/N)={math.ceil(m / n)}"
-        )
-    mu_dist = _mu_distribution(full_frames, n, ctx)
-    return _omega_terminal(mu_dist, prior_partial, r, j, already, ctx)
-
-
-def gamma(length: int, n: int, ctx: AggregationContext) -> float:
-    """Expected rank increment of a batch finishing in this frame (M > N).
-
-    The other M - length packets were split across ceil((M - length) / N)
-    earlier frames.  Conditioned on this frame's payload being delivered.
-    """
-    m = ctx.code.batch_size
-    if not 1 <= length <= min(n, m):
-        raise ParameterError(f"need 1 <= length <= min(N, M), got {length}")
-    hbar = ctx.rank_dist.masses
-    rest = m - length
-    mu_dist = _mu_distribution(rest // n, n, ctx)
-    partial = rest % n
-    total = 0.0
-    for j in range(length + 1):
-        pj = binom_pmf(j, length, ctx.f)
-        if pj == 0.0:
-            continue
-        total += pj * sum(
-            hbar[r - 1] * _omega_terminal(mu_dist, partial, r, j, 0, ctx)
-            for r in range(1, m + 1)
-        )
-    return total
-
-
-def gamma_prime(s: int, k: int, n: int, ctx: AggregationContext) -> float:
-    """Expected rank increment of a full-batch frame with lineage (s, k)."""
-    m = ctx.code.batch_size
-    if (s, k) not in set(case_ii_sk_pairs(m, n)):
-        raise PhaseError(f"(s, k)=({s}, {k}) is not a valid lineage for M={m}, N={n}")
-    hbar = ctx.rank_dist.masses
-    mu_dist = _mu_distribution(k, n, ctx)
-    total = 0.0
-    for j in range(n + 1):
-        pj = binom_pmf(j, n, ctx.f)
-        if pj == 0.0:
-            continue
-        total += pj * sum(
-            hbar[r - 1] * _omega_terminal(mu_dist, s, r, j, 0, ctx)
-            for r in range(1, m + 1)
-        )
-    return total
-
-
 def expected_rank_increment(n: int, ctx: AggregationContext) -> float:
     """Per-frame expected rank increment E, averaged over the phase period.
 
-    Conditioned on the frame's own header arriving; header and packet loss in
-    the earlier frames of split batches is accounted inside the terms.
+    Conditioned on the frame's own header arriving.  A period of lcm(M, N)
+    packets holds lcm / M batches and lcm / N frames, so
+    E = (N / M) * sum_j pi_N[j] * e[j] / d, where pi_N is the lineage
+    reception pmf and e[j] = E_r[min(j, r)].
     """
-    m = ctx.code.batch_size
     if not (isinstance(n, int) and n >= 1):
         raise ParameterError(f"aggregation count must be >= 1, got {n!r}")
-    if m == 1:
-        # Every packet is a whole batch; the n batches aboard are independent.
-        return n * beta_prime(1, ctx)
-    g = math.gcd(m, n)
-    if m <= n:
-        bp_full = beta_prime(m, ctx)
-        total = 0.0
-        for length in case_i_phases(m, n):
-            rest = n - length
-            total += (
-                beta(length, ctx)
-                + beta_prime(rest % m, ctx)
-                + (rest // m) * bp_full
-            )
-        return g * total / m
-    total = 0.0
-    for length in case_ii_partial_phases(m, n):
-        total += gamma(length, n, ctx) + beta_prime(n - length, ctx)
-    for s, k in case_ii_sk_pairs(m, n):
-        total += gamma_prime(s, k, n, ctx)
-    return g * total / m
+    if ctx.d <= 0.0:
+        raise ParameterError("header survival is zero; E is undefined")
+    pmf = lineage_reception_pmf(n, ctx)
+    m = ctx.code.batch_size
+    return n / m * float(pmf @ _expected_min_table(ctx)) / ctx.d
+
+
+def lineage_reception_pmf(n: int, ctx: AggregationContext) -> np.ndarray:
+    """PMF pi_N of packets received per batch, averaged over the batch lineages.
+
+    Entry j is the probability that a batch gets j of its M packets through,
+    with header loss (probability 1 - d per frame) and per-packet loss folded
+    in; independent across the groups of one batch since they ride distinct
+    frames.  pi_N does not depend on the rank distribution, so the array is
+    cached per (M, N, f, d) and shared by every caller: it is read-only.
+    """
+    return _lineage_pmf(ctx.code.batch_size, n, ctx.f, ctx.d)
+
+
+@functools.lru_cache(maxsize=_PMF_CACHE_SIZE)
+def _lineage_pmf(m: int, n: int, f: float, d: float) -> np.ndarray:
+    lineages = batch_lineages(m, n)
+    groups = {
+        size: np.array([bin_d_pmf(i, size, f, d) for i in range(size + 1)])
+        for size in {size for sizes in lineages for size in sizes}
+    }
+    acc = np.zeros(m + 1)
+    for sizes in lineages:
+        pmf = np.ones(1)
+        for size in sizes:
+            pmf = np.convolve(pmf, groups[size])
+        acc += pmf
+    acc /= len(lineages)
+    acc.flags.writeable = False
+    return acc
 
 
 def frame_efficiency(n: int, ctx: AggregationContext) -> float:
@@ -263,6 +179,8 @@ def frame_efficiency(n: int, ctx: AggregationContext) -> float:
             f"N={n} exceeds the feasible bound"
             f" {max_feasible_n(ctx.channel, ctx.code)}"
         )
+    if ctx.d <= 0.0:
+        return 0.0  # no header arrives, so no payload byte is useful
     e = expected_rank_increment(n, ctx)
     return ctx.d * ctx.code.payload * e / frame_size(n, ctx.channel, ctx.code)
 
@@ -275,50 +193,8 @@ def optimize_n(ctx: AggregationContext) -> tuple[int, EfficiencyProfile]:
     return best, EfficiencyProfile(n_max=n_max, efficiency=values, best_n=best)
 
 
-def _expected_min_table(ctx: AggregationContext) -> list[float]:
-    """emin[j] = E_r[min(j, r)] under the context's rank distribution."""
-    hbar = ctx.rank_dist.masses
-    m = len(hbar)
-    return [
-        sum(hbar[r - 1] * min(j, r) for r in range(1, m + 1)) for j in range(m + 1)
-    ]
-
-
-def _mu_distribution(full_frames: int, n: int, ctx: AggregationContext) -> list[float]:
-    """Distribution of packets received from ``full_frames`` earlier frames."""
-    dist = [1.0]
-    layer = [bin_d_pmf(i, n, ctx.f, ctx.d) for i in range(n + 1)]
-    for _ in range(full_frames):
-        nxt = [0.0] * (len(dist) + n)
-        for mu, w in enumerate(dist):
-            if w == 0.0:
-                continue
-            for i, pi in enumerate(layer):
-                nxt[mu + i] += w * pi
-        dist = nxt
-    return dist
-
-
-def _omega_terminal(
-    mu_dist: list[float],
-    prior_partial: int,
-    r: int,
-    j: int,
-    already: int,
-    ctx: AggregationContext,
-) -> float:
-    """E[(min(j, r - mu - i))^+] with i drawn from the earliest partial frame."""
-    if j <= 0:
-        return 0.0
-    partial_pmf = [
-        bin_d_pmf(i, prior_partial, ctx.f, ctx.d) for i in range(prior_partial + 1)
-    ]
-    total = 0.0
-    for mu, w in enumerate(mu_dist):
-        if w == 0.0:
-            continue
-        base = r - already - mu
-        total += w * sum(
-            pi * max(min(j, base - i), 0) for i, pi in enumerate(partial_pmf)
-        )
-    return total
+def _expected_min_table(ctx: AggregationContext) -> np.ndarray:
+    """e[j] = E_r[min(j, r)] under the context's rank distribution, j = 0..M."""
+    m = ctx.code.batch_size
+    mins = np.minimum.outer(np.arange(m + 1), np.arange(1, m + 1))
+    return mins @ np.asarray(ctx.rank_dist.masses)

@@ -2,9 +2,11 @@
 
 Each node re-chunks its outgoing stream into its own (M, N) period starting
 at phase 0, so a batch's next-hop rank depends only on its own group split.
-Batches that fall to rank 0 stay in the pipeline (they still cost bytes);
-their mass is tracked in a separate bucket and the per-hop efficiency is
-scaled by the probability of rank >= 1.
+A batch of rank r that receives j packets leaves with rank min(j, r), so one
+hop is the (M + 1) x (M + 1) transition matrix built from the model's
+cached lineage reception pmf pi_N.  Batches that fall to rank 0 stay in the
+pipeline (they still cost bytes); their mass is tracked in a separate bucket
+and the per-hop efficiency is scaled by the probability of rank >= 1.
 """
 
 from __future__ import annotations
@@ -17,12 +19,11 @@ import numpy as np
 from .frame import (
     AggregationContext,
     frame_efficiency,
+    lineage_reception_pmf,
     max_feasible_n,
     optimize_n,
 )
 from .params import InfeasibleError, ParameterError, RankDistribution
-from .phases import batch_lineages
-from .probability import bin_d_pmf
 
 OPTIMAL = "optimal"
 LARGEST = "largest"
@@ -89,23 +90,10 @@ class HopTrace:
 def aggregate_reception_pmf(n: int, ctx: AggregationContext) -> np.ndarray:
     """PMF of packets received per batch, averaged over the batch lineages.
 
-    Entry j is the probability that a batch gets j of its M packets through,
-    with header loss (probability 1 - d per frame) and per-packet loss folded
-    in; independent across the groups of one batch since they ride distinct
-    frames.
+    A writable copy of the model's cached pi_N; see
+    :func:`bncagg.frame.lineage_reception_pmf`.
     """
-    m = ctx.code.batch_size
-    lineages = batch_lineages(m, n)
-    acc = np.zeros(m + 1)
-    for groups in lineages:
-        pmf = np.ones(1)
-        for size in groups:
-            group = np.array(
-                [bin_d_pmf(i, size, ctx.f, ctx.d) for i in range(size + 1)]
-            )
-            pmf = np.convolve(pmf, group)
-        acc[: pmf.size] += pmf
-    return acc / len(lineages)
+    return lineage_reception_pmf(n, ctx).copy()
 
 
 def batch_reception_distribution(r: int, n: int, ctx: AggregationContext) -> np.ndarray:
@@ -115,11 +103,7 @@ def batch_reception_distribution(r: int, n: int, ctx: AggregationContext) -> np.
         raise ParameterError(f"rank must be in 1..{m}, got {r}")
     if n > max_feasible_n(ctx.channel, ctx.code):
         raise InfeasibleError(f"N={n} is not feasible")
-    pmf = aggregate_reception_pmf(n, ctx)
-    out = np.zeros(r + 1)
-    for j, mass in enumerate(pmf):
-        out[min(j, r)] += mass
-    return out
+    return _transition_matrix(n, ctx)[r, : r + 1]
 
 
 def evolve_rank_distribution(
@@ -168,17 +152,18 @@ def simulate_line_network(
     return HopTrace(tuple(records))
 
 
+def _transition_matrix(n: int, ctx: AggregationContext) -> np.ndarray:
+    """T[r, k] = P(next-hop rank k | rank r): pi_N[k] below r, its tail at r."""
+    pmf = lineage_reception_pmf(n, ctx)
+    tails = np.cumsum(pmf[::-1])[::-1]
+    t = np.tril(np.tile(pmf, (pmf.size, 1)), k=-1)
+    np.fill_diagonal(t, tails)
+    return t
+
+
 def _evolve_full(full: np.ndarray, n: int, ctx: AggregationContext) -> np.ndarray:
     """Push a distribution over ranks 0..M through one lossy hop."""
-    m = ctx.code.batch_size
-    pmf = aggregate_reception_pmf(n, ctx)
-    out = np.zeros(m + 1)
-    out[0] = full[0]
-    for r in range(1, m + 1):
-        if full[r] == 0.0:
-            continue
-        for j, mass in enumerate(pmf):
-            out[min(j, r)] += full[r] * mass
+    out = full @ _transition_matrix(n, ctx)
     # Guard against accumulated round-off; the mass is conserved analytically.
     total = out.sum()
     if not math.isclose(total, 1.0, abs_tol=1e-9):

@@ -16,6 +16,12 @@ explicit uniform coefficient matrices over GF(256), which are rank deficient
 with small probability, so its mean sits about 5e-4 (relative) below the
 large-field E; its exact reference is
 ``enumerate_period_exact(ctx, n, field_size=256)``.
+
+The simulators share no code with the model.  ``enumerate_period_exact``
+walks the same ``batch_lineages`` as the model's lineage reception pmf and
+differs from it only in its brute-force group pmf, so a fault in the lineage
+walk would escape it; the phase-average terms in ``reference`` are the exact
+check that shares no structure with production.
 """
 
 from __future__ import annotations
@@ -173,8 +179,11 @@ def enumerate_period_exact(
 
     Expectation is additive over the batches of a period, so each batch's
     increment is enumerated over all survival patterns of its own packets and
-    the header events of the frames it touches.  Nothing here shares code
-    with the phase-average formulas.
+    the header events of the frames it touches.  It walks ``batch_lineages``
+    like the production model does; only its group pmf
+    (:func:`_group_pmf_brute`) is built independently, so the phase-average
+    terms of ``reference`` are the check that shares no structure with
+    production.
 
     With ``field_size=None`` a batch of rank r that receives j packets gains
     min(j, r), the large-field model.  With a prime power q it gains the
@@ -283,6 +292,11 @@ def simulate_end_to_end(
         per_period = period // m
         frames = period // n
         n_periods = ranks.size // per_period
+        if n_periods == 0:
+            raise ParameterError(
+                f"hop {hop}: only {ranks.size} batches left, but one period at"
+                f" N={n} holds {per_period}; raise the trial count"
+            )
         used = ranks[: n_periods * per_period].reshape(n_periods, per_period)
         inc_sum = np.zeros(n_periods)
         next_ranks = np.empty_like(used)

@@ -42,6 +42,10 @@ class ScenarioConfig:
     trials: int = 100_000
     mc: bool = False
 
+    def __post_init__(self) -> None:
+        if self.trials < 1:
+            raise ParameterError(f"trials must be >= 1, got {self.trials!r}")
+
     def channel(self, plr: float) -> ChannelParams:
         return ChannelParams(
             max_payload=self.mtu,
@@ -151,20 +155,25 @@ def load_config_file(path: str, base: ScenarioConfig) -> ScenarioConfig:
         if section not in ("channel", "code", "run"):
             raise ParameterError(f"unknown config section [{section}]")
         for key, raw in parser.items(section):
-            if key in _INT_KEYS:
-                updates[key] = int(raw)
-            elif key in _STR_KEYS:
-                updates[key] = raw.strip()
-            elif key == "plr":
-                updates["plrs"] = tuple(float(v) for v in raw.split(","))
-            elif key == "strategy":
-                updates["strategies"] = tuple(
-                    v.strip() for v in raw.split(",") if v.strip()
-                )
-            elif key == "mc":
-                updates["mc"] = parser.getboolean(section, key)
-            else:
+            if key not in _INT_KEYS | _STR_KEYS | {"plr", "strategy", "mc"}:
                 raise ParameterError(f"unknown config key {key!r} in [{section}]")
+            try:
+                if key in _INT_KEYS:
+                    updates[key] = int(raw)
+                elif key in _STR_KEYS:
+                    updates[key] = raw.strip()
+                elif key == "plr":
+                    updates["plrs"] = tuple(float(v) for v in raw.split(","))
+                elif key == "strategy":
+                    updates["strategies"] = tuple(
+                        v.strip() for v in raw.split(",") if v.strip()
+                    )
+                else:
+                    updates["mc"] = parser.getboolean(section, key)
+            except ValueError as exc:
+                raise ParameterError(
+                    f"bad value {raw!r} for {key!r} in [{section}]"
+                ) from exc
     try:
         return replace(base, **updates)
     except TypeError as exc:

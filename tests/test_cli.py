@@ -217,3 +217,51 @@ class TestValidateAndConfig:
         )
         assert code == 2
         assert "error:" in err
+
+
+class TestConfigBoundary:
+    def test_ini_integrity_holds_for_throughput(self, tmp_path, capsys):
+        cfg = tmp_path / "scenario.ini"
+        cfg.write_text("[code]\nintegrity = fec\n")
+        code, out, _ = run_cli(
+            ["throughput", "--config", str(cfg), "--hops", "2", "--plr", "0.1",
+             "--strategy", "fixed:1"],
+            capsys,
+        )
+        assert code == 0
+        header, _ = parse_csv(out)
+        assert header == ["hop", "plr0.1_fixed1_fec"]
+
+    @pytest.mark.parametrize(
+        "section,entry",
+        [
+            ("run", "hops = ten"),
+            ("code", "payload = 2.5"),
+            ("run", "plr = 0.1,ten"),
+            ("run", "mc = perhaps"),
+        ],
+    )
+    def test_bad_ini_value_is_usage_error(self, tmp_path, capsys, section, entry):
+        cfg = tmp_path / "scenario.ini"
+        cfg.write_text(f"[{section}]\n{entry}\n")
+        code, _, err = run_cli(["efficiency-curve", "--config", str(cfg)], capsys)
+        assert code == 2
+        assert err.startswith("error:")
+        assert entry.split(" = ")[0] in err
+
+    def test_negative_trials_is_usage_error(self, capsys):
+        code, _, err = run_cli(
+            ["throughput", "--mc", "--trials", "-5", "--hops", "2"], capsys
+        )
+        assert code == 2
+        assert "trials must be >= 1" in err
+
+    def test_too_few_batches_for_one_period(self, capsys, recwarn):
+        code, _, err = run_cli(
+            ["throughput", "--mc", "--trials", "1", "--hops", "2", "--plr", "0.1",
+             "--strategy", "fixed:33", "--integrity", "checksum"],
+            capsys,
+        )
+        assert code == 2
+        assert err.startswith("error: hop 1:")
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]

@@ -1,5 +1,6 @@
 import dataclasses
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,6 +13,7 @@ from bncagg import (
     ParameterError,
     PhaseError,
     RankDistribution,
+    aggregate_reception_pmf,
     beta,
     beta_prime,
     expected_rank_increment,
@@ -23,6 +25,8 @@ from bncagg import (
     omega,
     optimize_n,
 )
+from bncagg.frame import lineage_reception_pmf
+from bncagg.reference import phase_average_increment
 from helpers import expected_increment, make_ctx, period_expected_increment
 
 CH = ChannelParams(baseline_plr=0.10)
@@ -270,3 +274,79 @@ class TestEfficiencyAndOptimizer:
             for i in range(14, 32)
         )
         assert not_monotone
+
+
+class TestHeaderLossTotal:
+    # At a bit error rate near 1, d = (1 - p)^400 underflows to zero.
+    CTX = AggregationContext.build(
+        ChannelParams(ber=0.9), CODE, RankDistribution.truncated_binomial(4)
+    )
+
+    def test_d_underflows(self):
+        assert self.CTX.d == 0.0
+
+    def test_expected_rank_increment_undefined(self):
+        with pytest.raises(ParameterError):
+            expected_rank_increment(3, self.CTX)
+
+    def test_efficiency_is_zero_and_optimum_is_one(self):
+        assert frame_efficiency(5, self.CTX) == 0.0
+        best, profile = optimize_n(self.CTX)
+        assert best == 1
+        assert profile.efficiency == (0.0,) * 33
+
+
+class TestReceptionPmfCache:
+    def test_returned_pmf_is_a_copy(self):
+        ctx = make_ctx(4, f=0.6, d=0.8, hbar=RankDistribution.truncated_binomial(4))
+        before = expected_rank_increment(3, ctx)
+        pmf = aggregate_reception_pmf(3, ctx)
+        pmf[:] = 0.0
+        pmf[0] = 1.0
+        assert expected_rank_increment(3, ctx) == before
+        assert aggregate_reception_pmf(3, ctx)[0] < 1.0
+
+    def test_cached_pmf_is_read_only(self):
+        ctx = make_ctx(4, f=0.6, d=0.8)
+        with pytest.raises(ValueError):
+            lineage_reception_pmf(3, ctx)[0] = 1.0
+
+    def test_key_includes_f_and_d(self):
+        # With full-rank batches E = N * f whatever d is, so use lower ranks.
+        hbar = RankDistribution.truncated_binomial(4)
+        base = make_ctx(4, f=0.6, d=0.8, hbar=hbar)
+        other_f = make_ctx(4, f=0.7, d=0.8, hbar=hbar)
+        other_d = make_ctx(4, f=0.6, d=0.9, hbar=hbar)
+        pmf = aggregate_reception_pmf(3, base)
+        assert not np.allclose(pmf, aggregate_reception_pmf(3, other_f))
+        assert not np.allclose(pmf, aggregate_reception_pmf(3, other_d))
+        assert expected_rank_increment(3, base) != expected_rank_increment(3, other_f)
+        assert expected_rank_increment(3, base) != expected_rank_increment(3, other_d)
+
+
+class TestPhaseAverageReference:
+    """Production E against the paper's phase-average terms, to 1e-12."""
+
+    @pytest.mark.parametrize("m", range(1, 9))
+    def test_criterion_5_grid(self, m):
+        code = CodeParams(batch_size=m, payload=64, bnc_header=m + 2, integrity=2)
+        for hbar in (
+            RankDistribution.degenerate(m),
+            RankDistribution.truncated_binomial(m, 0.8),
+        ):
+            base = AggregationContext.build(ChannelParams(baseline_plr=0.1), code, hbar)
+            for n in range(1, 9):
+                for f in (0.3, 0.6, 1.0):
+                    for d in (0.5, 0.85, 1.0):
+                        ctx = dataclasses.replace(base, f=f, d=d)
+                        assert expected_rank_increment(n, ctx) == pytest.approx(
+                            phase_average_increment(n, ctx), rel=1e-12
+                        ), (m, n, f, d)
+
+    @pytest.mark.parametrize("m,ns", [(16, range(1, 33)), (32, (1, 3, 7, 8))])
+    def test_large_batches(self, m, ns):
+        ctx = make_ctx(m, f=0.6, d=0.85, hbar=RankDistribution.truncated_binomial(m, 0.8))
+        for n in ns:
+            assert expected_rank_increment(n, ctx) == pytest.approx(
+                phase_average_increment(n, ctx), rel=1e-12
+            ), n
