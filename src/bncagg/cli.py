@@ -197,7 +197,11 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--strategy", action="append", help="optimal, largest or fixed:<n> (repeatable)"
     )
-    common.add_argument("--rank-dist", help="degenerate, binomial:<rho> or explicit:<m1,...>")
+    common.add_argument(
+        "--rank-dist",
+        help="degenerate, binomial:<rho> or explicit:<m1,...>; throughput rejects it"
+        " (its batches start at full rank) and ignores an INI rank_dist",
+    )
     common.add_argument("--seed", type=int, help="Monte Carlo seed")
     common.add_argument("--trials", type=int, help="Monte Carlo trials / periods")
     common.add_argument("--mc", action="store_true", help="use the Monte Carlo simulator")
@@ -243,6 +247,11 @@ def _config_from_args(args: argparse.Namespace) -> ScenarioConfig:
     if args.strategy:
         updates["strategies"] = tuple(args.strategy)
     if args.rank_dist is not None:
+        if args.command == "throughput":
+            raise ParameterError(
+                "throughput does not take --rank-dist: the line network starts"
+                " every batch at full rank"
+            )
         updates["rank_dist"] = args.rank_dist
     if args.seed is not None:
         updates["seed"] = args.seed

@@ -167,5 +167,8 @@ def _evolve_full(full: np.ndarray, n: int, ctx: AggregationContext) -> np.ndarra
     # Guard against accumulated round-off; the mass is conserved analytically.
     total = out.sum()
     if not math.isclose(total, 1.0, abs_tol=1e-9):
-        raise ParameterError(f"evolved distribution lost mass: {total!r}")
+        # A broken invariant of the model, not a bad input.
+        raise RuntimeError(
+            f"evolved distribution at N={n} lost mass: total {total!r}, expected 1"
+        )
     return out / total

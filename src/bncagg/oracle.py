@@ -114,19 +114,25 @@ def _gf_increments(
     A batch of rank r is recoded into M packets whose coordinates in the
     r-dimensional received space are uniform; receiving j of them yields the
     rank of a uniform j x r matrix.  Groups of equal (j, r) are ranked in one
-    vectorized elimination; the group order is fixed so the stream of random
-    draws is reproducible.
+    vectorized elimination each, in ascending (j, r) order and row-major
+    order within a group, so the stream of random draws is reproducible.
+    One stable sort on the key j * (M + 1) + r yields every group; the key is
+    stored in the narrowest unsigned type, where numpy sorts by radix.
     """
-    inc = np.zeros(counts.shape, dtype=np.int64)
-    for j in range(1, m + 1):
-        for r in range(1, m + 1):
-            mask = (counts == j) & (ranks == r)
-            how_many = int(mask.sum())
-            if how_many == 0:
-                continue
-            mats = rng.integers(0, 256, size=(how_many, j, r), dtype=np.int64)
-            inc[mask] = gf256_rank_many(mats)
-    return inc
+    groups = (m + 1) ** 2
+    key = (counts * (m + 1) + ranks).ravel().astype(np.min_scalar_type(groups - 1))
+    order = np.argsort(key, kind="stable")
+    sizes = np.bincount(key, minlength=groups)
+    ends = np.cumsum(sizes)
+    inc = np.zeros(key.size, dtype=np.int64)
+    for k in np.flatnonzero(sizes):
+        j, r = divmod(int(k), m + 1)
+        if j == 0:
+            continue
+        group = order[ends[k] - sizes[k] : ends[k]]
+        mats = rng.integers(0, 256, size=(group.size, j, r), dtype=np.int64)
+        inc[group] = gf256_rank_many(mats)
+    return inc.reshape(counts.shape)
 
 
 def simulate_period(config: TrialConfig) -> PeriodEstimate:

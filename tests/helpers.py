@@ -1,7 +1,8 @@
 """Brute-force oracles used by the tests.
 
-Everything here enumerates reception outcomes bit by bit and shares no code
-with the closed-form implementation it checks.
+Everything here enumerates reception outcomes bit by bit, or does GF(256)
+arithmetic by shift and add, and shares no code with the implementation it
+checks.
 """
 
 from __future__ import annotations
@@ -155,3 +156,46 @@ def rank_pmf_bruteforce(j: int, r: int, p: int) -> list[float]:
     for entries in itertools.product(range(p), repeat=j * r):
         counts[rank_mod_p([entries[i * r : (i + 1) * r] for i in range(j)], p)] += 1
     return [c / p ** (j * r) for c in counts]
+
+
+def gf256_mul_slow(a: int, b: int) -> int:
+    """Product in GF(2^8) modulo x^8 + x^4 + x^3 + x + 1, by shift and add."""
+    product = 0
+    while b:
+        if b & 1:
+            product ^= a
+        b >>= 1
+        a <<= 1
+        if a & 0x100:
+            a ^= 0x11B
+    return product
+
+
+def gf256_inv_slow(a: int) -> int:
+    """Inverse in GF(256) as a^254, by square and multiply."""
+    result, power, exponent = 1, a, 254
+    while exponent:
+        if exponent & 1:
+            result = gf256_mul_slow(result, power)
+        power = gf256_mul_slow(power, power)
+        exponent >>= 1
+    return result
+
+
+def gf256_rank_slow(rows) -> int:
+    """Rank of a matrix over GF(256) by textbook Gaussian elimination."""
+    rows = [[int(x) for x in row] for row in rows]
+    rank = 0
+    cols = len(rows[0]) if rows else 0
+    for c in range(cols):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = gf256_inv_slow(rows[rank][c])
+        for i in range(rank + 1, len(rows)):
+            if rows[i][c]:
+                factor = gf256_mul_slow(rows[i][c], inv)
+                rows[i] = [x ^ gf256_mul_slow(factor, y) for x, y in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank

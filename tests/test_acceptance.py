@@ -167,7 +167,7 @@ def test_criterion_5_oracle_equivalence():
     line = report(
         5,
         ok,
-        f"max |phase-average E - exhaustive E| = {worst:.3e} at (M,N,f,d) = {argmax}",
+        f"max |lineage-pmf E - exhaustive E| = {worst:.3e} at (M,N,f,d) = {argmax}",
     )
     assert ok, line
 

@@ -249,6 +249,19 @@ class TestConfigBoundary:
         assert err.startswith("error:")
         assert entry.split(" = ")[0] in err
 
+    def test_throughput_rejects_rank_dist(self, tmp_path, capsys):
+        args = ["throughput", "--hops", "2", "--plr", "0.2", "--strategy", "fixed:1"]
+        code, out, err = run_cli(args + ["--rank-dist", "binomial:0.3"], capsys)
+        assert code == 2
+        assert err.startswith("error: throughput does not take --rank-dist")
+        assert out == ""
+        # An INI rank_dist stays accepted: the file may serve efficiency-curve.
+        cfg = tmp_path / "scenario.ini"
+        cfg.write_text("[code]\nrank_dist = binomial:0.3\n")
+        code, out, _ = run_cli(args + ["--config", str(cfg)], capsys)
+        assert code == 0
+        assert out == run_cli(args, capsys)[1]
+
     def test_negative_trials_is_usage_error(self, capsys):
         code, _, err = run_cli(
             ["throughput", "--mc", "--trials", "-5", "--hops", "2"], capsys

@@ -105,6 +105,19 @@ class TestEvolution:
             assert mean <= prev + 1e-12
             hbar = nxt
 
+    def test_lost_mass_is_an_internal_fault(self, monkeypatch):
+        import bncagg.network as network
+
+        real = network._transition_matrix
+        monkeypatch.setattr(
+            network, "_transition_matrix", lambda n, ctx: 0.9 * real(n, ctx)
+        )
+        ctx = make_ctx(4, f=0.8, d=0.95)
+        with pytest.raises(RuntimeError, match="N=3 lost mass") as info:
+            evolve_rank_distribution(RankDistribution.degenerate(4), 3, ctx)
+        assert not isinstance(info.value, ParameterError)
+        assert "0.9" in str(info.value)
+
 
 class TestLineNetwork:
     def test_trace_shape_and_determinism(self):
