@@ -66,8 +66,7 @@ def cmd_efficiency_curve(config: ScenarioConfig, out: TextIO) -> int:
 
 
 def cmd_throughput(config: ScenarioConfig, out: TextIO) -> int:
-    if config.hops < 1:
-        raise ParameterError(f"hops must be >= 1, got {config.hops}")
+    config.rank_distribution()  # parsed only to reject a malformed INI value
     header = ["hop"]
     columns: list[list[str]] = []
     for plr in config.plrs:
@@ -127,26 +126,19 @@ def cmd_validate(config: ScenarioConfig, out: TextIO) -> int:
     )
 
     # Analytical E against the exhaustive enumeration oracle.
+    mode_name = CHECKSUM if config.integrity == BOTH else config.integrity
+    base = config.context(0.1, mode_name)
     max_delta = 0.0
     argmax = None
     for m in range(1, 6):
+        code = dataclasses.replace(base.code, batch_size=m, bnc_header=m + 2)
         for n in range(1, 6):
             for f, d in ((0.6, 0.85), (1.0, 1.0)):
                 for rd in (
                     RankDistribution.degenerate(m),
                     RankDistribution.truncated_binomial(m, 0.8),
                 ):
-                    ctx = dataclasses.replace(
-                        config.context(0.1, CHECKSUM if config.integrity == BOTH else config.integrity),
-                        code=dataclasses.replace(
-                            config.code(CHECKSUM if config.integrity == BOTH else config.integrity),
-                            batch_size=m,
-                            bnc_header=m + 2,
-                        ),
-                        rank_dist=rd,
-                        d=d,
-                        f=f,
-                    )
+                    ctx = dataclasses.replace(base, code=code, rank_dist=rd, d=d, f=f)
                     delta = abs(
                         expected_rank_increment(n, ctx)
                         - enumerate_period_exact(ctx, n)
@@ -160,9 +152,7 @@ def cmd_validate(config: ScenarioConfig, out: TextIO) -> int:
     )
 
     # Monte Carlo agreement, counting and finite-field modes.
-    plr = config.plrs[0]
-    mode_name = CHECKSUM if config.integrity == BOTH else config.integrity
-    ctx = config.context(plr, mode_name)
+    ctx = config.context(config.plrs[0], mode_name)
     analytical = expected_rank_increment(4, ctx)
     for mode in (RANK_COUNTING, GF256_MATRIX):
         est = simulate_period(
@@ -184,7 +174,10 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", metavar="FILE", help="INI config file")
     common.add_argument("--out", default="-", metavar="FILE", help="output file or - for stdout")
-    common.add_argument("--plr", action="append", type=float, help="baseline PLR (repeatable)")
+    common.add_argument(
+        "--plr", action="append", type=float, dest="plrs", metavar="PLR",
+        help="baseline PLR (repeatable)",
+    )
     common.add_argument("--batch-size", type=int, help="batch size M")
     common.add_argument("--payload", type=int, help="BNC payload bytes K")
     common.add_argument("--bnc-header", type=int, help="BNC header bytes H (default M + 2)")
@@ -195,7 +188,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--mtu", type=int, help="max network layer packet bytes L")
     common.add_argument("--hops", type=int, help="line network length")
     common.add_argument(
-        "--strategy", action="append", help="optimal, largest or fixed:<n> (repeatable)"
+        "--strategy", action="append", dest="strategies", metavar="STRATEGY",
+        help="optimal, largest or fixed:<n> (repeatable)",
     )
     common.add_argument(
         "--rank-dist",
@@ -204,7 +198,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common.add_argument("--seed", type=int, help="Monte Carlo seed")
     common.add_argument("--trials", type=int, help="Monte Carlo trials / periods")
-    common.add_argument("--mc", action="store_true", help="use the Monte Carlo simulator")
+    common.add_argument(
+        "--mc", action="store_true", default=None, help="use the Monte Carlo simulator"
+    )
 
     parser = argparse.ArgumentParser(
         prog="bncagg",
@@ -221,44 +217,23 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _config_from_args(args: argparse.Namespace) -> ScenarioConfig:
     # Built-in defaults, then the config file, then flags; throughput
-    # compares both integrity modes unless told otherwise.
+    # compares both integrity modes unless told otherwise.  A flag sets the
+    # field its dest names; unset flags are None.
     config = ScenarioConfig()
     if args.command == "throughput":
-        config = dataclasses.replace(config, integrity=BOTH)
-    if args.config:
-        config = load_config_file(args.config, config)
-    updates: dict = {}
-    if args.plr:
-        updates["plrs"] = tuple(args.plr)
-    if args.batch_size is not None:
-        updates["batch_size"] = args.batch_size
-    if args.payload is not None:
-        updates["payload"] = args.payload
-    if args.bnc_header is not None:
-        updates["bnc_header"] = args.bnc_header
-    if args.integrity is not None:
-        updates["integrity"] = args.integrity
-    if args.fec_bytes is not None:
-        updates["fec_bytes"] = args.fec_bytes
-    if args.mtu is not None:
-        updates["mtu"] = args.mtu
-    if args.hops is not None:
-        updates["hops"] = args.hops
-    if args.strategy:
-        updates["strategies"] = tuple(args.strategy)
-    if args.rank_dist is not None:
-        if args.command == "throughput":
+        if args.rank_dist is not None:
             raise ParameterError(
                 "throughput does not take --rank-dist: the line network starts"
                 " every batch at full rank"
             )
-        updates["rank_dist"] = args.rank_dist
-    if args.seed is not None:
-        updates["seed"] = args.seed
-    if args.trials is not None:
-        updates["trials"] = args.trials
-    if args.mc:
-        updates["mc"] = True
+        config = dataclasses.replace(config, integrity=BOTH)
+    if args.config:
+        config = load_config_file(args.config, config)
+    updates = {}
+    for field in dataclasses.fields(ScenarioConfig):
+        value = getattr(args, field.name, None)
+        if value is not None:
+            updates[field.name] = tuple(value) if isinstance(value, list) else value
     return dataclasses.replace(config, **updates)
 
 

@@ -1,9 +1,11 @@
 """Seeded Monte Carlo and exhaustive oracles for the analytical model.
 
 All randomness comes from numpy's Philox counter-based generator.  Trials are
-processed in fixed-size chunks and chunk c uses the stream derived from
-``SeedSequence(seed, spawn_key=(c,))``, so results are bit-identical for a
-given seed regardless of how the work is scheduled.
+processed in fixed-size chunks by one runner, ``_chunks``.  Chunk c of
+``simulate_period`` uses the stream derived from
+``SeedSequence(seed, spawn_key=(c,))`` and chunk c of hop h in
+``simulate_end_to_end`` the one from ``spawn_key=(h, c)``, so results are
+bit-identical for a given seed regardless of how the work is scheduled.
 
 The oracles report E in the same convention as the analytical formulas: the
 per-frame rank increment conditioned on the frame's own header arriving,
@@ -92,18 +94,34 @@ def _draw_ranks(rng: np.random.Generator, hbar: RankDistribution, shape) -> np.n
     return np.searchsorted(cum, rng.random(shape), side="right") + 1
 
 
-def _received_counts(
-    rng: np.random.Generator, ctx: AggregationContext, n: int, trials: int
+def _chunks(seed: int, total: int, *key: int):
+    """Yield each chunk's slice of up to ``_CHUNK`` rows and its stream ``(*key, c)``."""
+    for c, start in enumerate(range(0, total, _CHUNK)):
+        yield slice(start, min(start + _CHUNK, total)), _chunk_rng(seed, *key, c)
+
+
+def _increments(
+    rng: np.random.Generator,
+    ctx: AggregationContext,
+    n: int,
+    ranks: np.ndarray,
+    mode: str,
 ) -> np.ndarray:
-    """Per-batch received packet counts for ``trials`` simulated periods."""
+    """Per-batch rank increments of periods whose batches have ``ranks``.
+
+    Draws header losses, packet losses, then in gf256 mode the coefficients.
+    """
     m = ctx.code.batch_size
-    period = math.lcm(m, n)
-    frames = period // n
-    headers = rng.random((trials, frames)) < ctx.d
-    packets = rng.random((trials, period)) < ctx.f
-    slot_frame = np.arange(period) // n
-    received = packets & headers[:, slot_frame]
-    return received.reshape(trials, period // m, m).sum(axis=2)
+    trials, batches = ranks.shape
+    period = batches * m
+    headers = rng.random((trials, period // n)) < ctx.d
+    received = rng.random((trials, period)) < ctx.f
+    received &= headers[:, np.arange(period) // n]
+    counts = received.reshape(trials, batches, m).sum(axis=2)
+    del headers, received  # not held through the GF(256) draws
+    if mode == RANK_COUNTING:
+        return np.minimum(counts, ranks)
+    return _gf_increments(rng, counts, ranks, m)
 
 
 def _gf_increments(
@@ -146,26 +164,17 @@ def simulate_period(config: TrialConfig) -> PeriodEstimate:
     if ctx.d <= 0.0:
         raise ParameterError("header survival is zero; E is undefined")
     frames = math.lcm(m, n) // n
+    batches = math.lcm(m, n) // m
     total = 0.0
     total_sq = 0.0
     hist = np.zeros(m + 1)
-    done = 0
-    chunk_index = 0
-    while done < config.trials:
-        t = min(_CHUNK, config.trials - done)
-        rng = _chunk_rng(config.seed, chunk_index)
-        ranks = _draw_ranks(rng, ctx.rank_dist, (t, math.lcm(m, n) // m))
-        counts = _received_counts(rng, ctx, n, t)
-        if config.mode == RANK_COUNTING:
-            inc = np.minimum(counts, ranks)
-        else:
-            inc = _gf_increments(rng, counts, ranks, m)
+    for rows, rng in _chunks(config.seed, config.trials):
+        ranks = _draw_ranks(rng, ctx.rank_dist, (rows.stop - rows.start, batches))
+        inc = _increments(rng, ctx, n, ranks, config.mode)
         hist += np.bincount(inc.ravel(), minlength=m + 1)[: m + 1]
         per_trial = inc.sum(axis=1) / (frames * ctx.d)
         total += float(per_trial.sum())
         total_sq += float((per_trial**2).sum())
-        done += t
-        chunk_index += 1
     mean = total / config.trials
     var = max(total_sq / config.trials - mean**2, 0.0)
     se = math.sqrt(var / config.trials)
@@ -283,11 +292,8 @@ def simulate_end_to_end(
     m = ctx.code.batch_size
     payload = ctx.code.payload
     records = []
-    ranks = None
+    ranks = np.full(trials * m, m, dtype=np.int64)  # about `trials` periods at N=M
     for hop in range(1, hops + 1):
-        if ranks is None:
-            pop = trials * m  # sized so hop 1 has about `trials` periods at N=M
-            ranks = np.full(pop, m, dtype=np.int64)
         positive = ranks[ranks > 0]
         if positive.size == 0:
             raise ParameterError(f"population extinct before hop {hop}")
@@ -304,21 +310,11 @@ def simulate_end_to_end(
                 f" N={n} holds {per_period}; raise the trial count"
             )
         used = ranks[: n_periods * per_period].reshape(n_periods, per_period)
-        inc_sum = np.zeros(n_periods)
         next_ranks = np.empty_like(used)
-        done = 0
-        chunk_index = 0
-        while done < n_periods:
-            t = min(_CHUNK, n_periods - done)
-            rng = _chunk_rng(seed, hop, chunk_index)
-            counts = _received_counts(rng, local, n, t)
-            inc = np.minimum(counts, used[done : done + t])
-            inc_sum[done : done + t] = inc.sum(axis=1)
-            next_ranks[done : done + t] = inc
-            done += t
-            chunk_index += 1
+        for rows, rng in _chunks(seed, n_periods, hop):
+            next_ranks[rows] = _increments(rng, local, n, used[rows], RANK_COUNTING)
         bytes_per_period = frames * frame_size(n, ctx.channel, ctx.code)
-        per_period_tp = payload * inc_sum / bytes_per_period
+        per_period_tp = payload * next_ranks.sum(axis=1) / bytes_per_period
         mean = float(per_period_tp.mean())
         se = float(per_period_tp.std(ddof=0) / math.sqrt(n_periods))
         records.append(HopEstimate(hop=hop, n=n, throughput=mean, std_error=se))

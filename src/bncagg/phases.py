@@ -10,7 +10,6 @@ packets are split into groups by the frame boundaries.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .params import ParameterError, PhaseError
 
@@ -84,27 +83,6 @@ def batch_lineages(m: int, n: int) -> list[tuple[int, ...]]:
             pos = nxt
         lineages.append(tuple(groups))
     return lineages
-
-
-@dataclass(frozen=True)
-class PhaseWeights:
-    """Phase values of one period with their occurrence probabilities."""
-
-    phases: tuple[int, ...]
-    weights: tuple[float, ...]
-
-
-def phase_weights(m: int, n: int) -> PhaseWeights:
-    """Distribution of the frame phase over one period."""
-    _check_mn(m, n)
-    g = math.gcd(m, n)
-    if m <= n:
-        phases = case_i_phases(m, n)
-        return PhaseWeights(tuple(phases), tuple(g / m for _ in phases))
-    partial = case_ii_partial_phases(m, n)
-    phases = tuple(partial) + (n,)
-    weights = tuple(g / m for _ in partial) + ((m - n + g) / m,)
-    return PhaseWeights(phases, weights)
 
 
 def _check_mn(m: int, n: int) -> None:

@@ -45,6 +45,14 @@ class ScenarioConfig:
     def __post_init__(self) -> None:
         if self.trials < 1:
             raise ParameterError(f"trials must be >= 1, got {self.trials!r}")
+        if self.seed < 0:
+            raise ParameterError(f"seed must be >= 0, got {self.seed!r}")
+        if self.hops < 1:
+            raise ParameterError(f"hops must be >= 1, got {self.hops!r}")
+        if not self.plrs:
+            raise ParameterError("plrs must name at least one PLR")
+        if not self.strategies:
+            raise ParameterError("strategies must name at least one strategy")
 
     def channel(self, plr: float) -> ChannelParams:
         return ChannelParams(

@@ -278,3 +278,44 @@ class TestConfigBoundary:
         assert code == 2
         assert err.startswith("error: hop 1:")
         assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+    @pytest.mark.parametrize(
+        "args,message",
+        [
+            (["efficiency-curve", "--hops", "0"], "hops must be >= 1"),
+            (["throughput", "--mc", "--seed", "-1", "--hops", "1", "--trials", "10"],
+             "seed must be >= 0"),
+        ],
+        ids=["zero-hops", "negative-seed"],
+    )
+    def test_out_of_range_flag_is_usage_error(self, capsys, args, message):
+        code, out, err = run_cli(args, capsys)
+        assert code == 2
+        assert err.startswith(f"error: {message}")
+        assert out == ""
+
+    def test_empty_ini_strategy_list_is_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "scenario.ini"
+        cfg.write_text("[run]\nstrategy = ,\n")
+        code, out, err = run_cli(
+            ["throughput", "--config", str(cfg), "--hops", "2"], capsys
+        )
+        assert code == 2
+        assert err.startswith("error: strategies must name")
+        assert out == ""
+
+    def test_empty_plrs_is_rejected(self):
+        # No INI or flag value parses to an empty PLR list (a blank `plr =`
+        # is already a bad value), so this boundary is checked directly.
+        with pytest.raises(ParameterError, match="plrs must name"):
+            ScenarioConfig(plrs=())
+
+    def test_throughput_rejects_malformed_ini_rank_dist(self, tmp_path, capsys):
+        cfg = tmp_path / "scenario.ini"
+        cfg.write_text("[code]\nrank_dist = uniformish\n")
+        code, out, err = run_cli(
+            ["throughput", "--config", str(cfg), "--hops", "1"], capsys
+        )
+        assert code == 2
+        assert err.startswith("error: unknown rank distribution")
+        assert out == ""

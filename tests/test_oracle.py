@@ -18,7 +18,7 @@ from bncagg import (
     simulate_period,
 )
 from bncagg.gf256 import GF_INV, gf256_rank, gf256_rank_many, gf_mul
-from bncagg.oracle import GF256_MATRIX, RANK_COUNTING, uniform_rank_pmf
+from bncagg.oracle import _CHUNK, GF256_MATRIX, RANK_COUNTING, HopEstimate, uniform_rank_pmf
 from helpers import make_ctx, rank_pmf_bruteforce
 
 CH = ChannelParams(baseline_plr=0.10)
@@ -124,6 +124,56 @@ class TestSimulatePeriod:
             TrialConfig(ctx=ctx, n=3, seed=SEED, trials=0)
         with pytest.raises(ParameterError):
             TrialConfig(ctx=ctx, n=3, seed=SEED, trials=10, mode="quantum")
+
+
+class TestChunkBoundaries:
+    """Seeded outputs pinned bit for bit across several RNG chunks.
+
+    Each chunk draws from its own spawn key, so a change in how trials are
+    cut into chunks or in the order of the draws inside one shows here.
+    """
+
+    CTX = AggregationContext.build(CH, CODE, RankDistribution.truncated_binomial(4))
+
+    def test_period_rank_counting_three_chunks(self):
+        est = simulate_period(
+            TrialConfig(ctx=self.CTX, n=5, seed=SEED, trials=2 * _CHUNK + 1000)
+        )
+        assert est.mean == 3.8173380564171855
+        assert est.std_error == 0.0013300152415035372
+        assert est.rank_histogram == (
+            0.007515597552849961,
+            0.0345054212853595,
+            0.18581228420861348,
+            0.491415288630444,
+            0.28075140832273304,
+        )
+
+    def test_period_gf256_two_chunks(self):
+        est = simulate_period(
+            TrialConfig(
+                ctx=self.CTX, n=3, seed=SEED, trials=_CHUNK + 1000, mode=GF256_MATRIX
+            )
+        )
+        assert est.mean == 2.292187126684525
+        assert est.std_error == 0.0013746811070703246
+        assert est.rank_histogram == (
+            0.001287523546150455,
+            0.039221874874754516,
+            0.19010260109815239,
+            0.4912578654162158,
+            0.2781301350647269,
+        )
+
+    def test_end_to_end_three_chunks_per_hop(self):
+        # 40k trials at N = M = 4 give 160k one-batch periods per hop.
+        ctx = AggregationContext.build(CH, CODE)
+        assert simulate_end_to_end(ctx, 2, NodeStrategy.fixed(4), SEED, 40_000) == [
+            HopEstimate(hop=1, n=4, throughput=0.8314940540540542,
+                        std_error=0.00041558457901265286),
+            HopEstimate(hop=2, n=4, throughput=0.7621881081081082,
+                        std_error=0.0005053100669789558),
+        ]
 
 
 class TestUniformRankLaw:

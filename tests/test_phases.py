@@ -9,7 +9,6 @@ from bncagg.phases import (
     case_ii_partial_phases,
     case_ii_sk_pairs,
     phase_sequence,
-    phase_weights,
 )
 
 
@@ -74,12 +73,6 @@ class TestCaseIIStructure:
             for m in range(n + 1, 201):
                 g = math.gcd(m, n)
                 assert len(case_ii_sk_pairs(m, n)) == (m - n + g) // g
-
-    def test_weights_sum_to_one(self):
-        for m in range(1, 60):
-            for n in range(1, 60):
-                pw = phase_weights(m, n)
-                assert sum(pw.weights) == pytest.approx(1.0, abs=1e-12)
 
     def test_excluded_s_example(self):
         # For M=8, N=6 the lineage starting with s=4 never fills a frame.
