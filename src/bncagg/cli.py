@@ -33,7 +33,7 @@ from .oracle import (
 )
 from .params import CHECKSUM, ParameterError, RankDistribution
 from .phases import case_ii_sk_pairs, phase_sequence
-from .scenario import BOTH, ScenarioConfig, load_config_file
+from .scenario import BOTH, ScenarioConfig, read_config_file
 
 _FMT = "{:.12g}"
 
@@ -66,7 +66,6 @@ def cmd_efficiency_curve(config: ScenarioConfig, out: TextIO) -> int:
 
 
 def cmd_throughput(config: ScenarioConfig, out: TextIO) -> int:
-    config.rank_distribution()  # parsed only to reject a malformed INI value
     header = ["hop"]
     columns: list[list[str]] = []
     for plr in config.plrs:
@@ -219,22 +218,21 @@ def _config_from_args(args: argparse.Namespace) -> ScenarioConfig:
     # Built-in defaults, then the config file, then flags; throughput
     # compares both integrity modes unless told otherwise.  A flag sets the
     # field its dest names; unset flags are None.
-    config = ScenarioConfig()
+    updates = {}
     if args.command == "throughput":
         if args.rank_dist is not None:
             raise ParameterError(
                 "throughput does not take --rank-dist: the line network starts"
                 " every batch at full rank"
             )
-        config = dataclasses.replace(config, integrity=BOTH)
+        updates["integrity"] = BOTH
     if args.config:
-        config = load_config_file(args.config, config)
-    updates = {}
+        updates.update(read_config_file(args.config))
     for field in dataclasses.fields(ScenarioConfig):
         value = getattr(args, field.name, None)
         if value is not None:
             updates[field.name] = tuple(value) if isinstance(value, list) else value
-    return dataclasses.replace(config, **updates)
+    return ScenarioConfig(**updates)
 
 
 _COMMANDS = {

@@ -42,6 +42,8 @@ class NodeStrategy:
             raise ParameterError(f"unknown strategy kind {self.kind!r}")
         if (self.kind == FIXED) != (self.n is not None):
             raise ParameterError("fixed strategies need n, others must not set it")
+        if self.kind == FIXED and self.n < 1:
+            raise ParameterError(f"fixed N must be >= 1, got {self.n!r}")
 
     @classmethod
     def optimal(cls) -> "NodeStrategy":

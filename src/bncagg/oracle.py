@@ -7,6 +7,27 @@ processed in fixed-size chunks by one runner, ``_chunks``.  Chunk c of
 ``simulate_end_to_end`` the one from ``spawn_key=(h, c)``, so results are
 bit-identical for a given seed regardless of how the work is scheduled.
 
+Within a chunk the draws are, in order: one word per batch for its rank,
+one per frame for its header, one per packet for its survival, then in
+``gf256_matrix`` mode one 32-bit half-word per coefficient.  They read the
+same Philox words as ``Generator.random`` and ``Generator.integers(0, 256)``
+would, so the stream is the one those calls define, but they skip the
+float64 and int64 arrays:
+
+* ``random()`` maps a 64-bit word w to (w >> 11) * 2^-53, so ``random() < p``
+  holds exactly when w < ceil(p * 2^53) << 11 (``_word_bound``).  Header and
+  packet survival compare raw words with that bound (``_bernoulli``), and a
+  batch's rank is 1 plus the number of cumulative rank masses whose bound
+  its word reaches (``_draw_ranks``), which is what
+  ``searchsorted(cum, random(), "right") + 1`` returns.
+* ``integers(0, 256)`` is Lemire's bounded draw on one 32-bit half-word u,
+  which for a range of 256 never rejects and returns u >> 24
+  (``_coefficients``).
+
+Raw words are drawn ``_BLOCK`` at a time and coefficients in pieces of at
+most ``_BLOCK`` entries, which bounds the draw buffers however many trials a
+chunk holds.  Counts and ranks use the narrowest unsigned type that holds M.
+
 The oracles report E in the same convention as the analytical formulas: the
 per-frame rank increment conditioned on the frame's own header arriving,
 obtained by dividing the unconditional per-frame increment by d.
@@ -43,6 +64,8 @@ RANK_COUNTING = "rank_counting"
 GF256_MATRIX = "gf256_matrix"
 
 _CHUNK = 1 << 16
+_BLOCK = 1 << 18  # raw words or coefficients drawn at once: 2 MiB of uint64
+_WORD_LIMIT = 1 << 64
 _MAX_ENUM_TERMS = 1 << 24
 
 
@@ -88,10 +111,54 @@ def _chunk_rng(seed: int, *key: int) -> np.random.Generator:
     )
 
 
+def _word_bound(p: float) -> int:
+    """The b with ``random() < p`` exactly when the word it maps is below b.
+
+    b lies in 0..2^64; at 2^64, which no uint64 holds, every word is below.
+    """
+    return min(max(math.ceil(p * 2.0**53), 0), 1 << 53) << 11
+
+
+def _raw_blocks(rng: np.random.Generator, out: np.ndarray):
+    """Yield ``(block, words)``: ``out`` in flat blocks, one Philox word per entry."""
+    flat = out.reshape(-1)
+    for start in range(0, flat.size, _BLOCK):
+        block = flat[start : start + _BLOCK]
+        yield block, rng.bit_generator.random_raw(block.size)
+
+
+def _bernoulli(rng: np.random.Generator, p: float, shape) -> np.ndarray:
+    """``rng.random(shape) < p`` bit for bit, without the float64 array."""
+    bound = _word_bound(p)
+    out = np.empty(shape, dtype=bool)
+    for block, words in _raw_blocks(rng, out):
+        if bound == _WORD_LIMIT:
+            block.fill(True)
+        else:
+            np.less(words, np.uint64(bound), out=block)
+    return out
+
+
 def _draw_ranks(rng: np.random.Generator, hbar: RankDistribution, shape) -> np.ndarray:
-    cum = np.cumsum(hbar.masses)
-    cum[-1] = 1.0
-    return np.searchsorted(cum, rng.random(shape), side="right") + 1
+    """``searchsorted(cum, rng.random(shape), "right") + 1`` bit for bit.
+
+    With the last cumulative mass taken as 1, the rank is 1 plus the number
+    of the other cumulative masses that the uniform reaches.
+    """
+    bounds = [_word_bound(c) for c in np.cumsum(hbar.masses)[:-1]]
+    bounds = [np.uint64(b) for b in bounds if b < _WORD_LIMIT]
+    ranks = np.ones(shape, dtype=np.min_scalar_type(hbar.batch_size))
+    for block, words in _raw_blocks(rng, ranks):
+        for bound in bounds:
+            block += words >= bound
+    return ranks
+
+
+def _coefficients(rng: np.random.Generator, shape) -> np.ndarray:
+    """``rng.integers(0, 256, shape, dtype=np.int64)`` bit for bit, as uint8."""
+    words = rng.integers(0, 1 << 32, size=shape, dtype=np.uint32)
+    words >>= 24
+    return words.astype(np.uint8)
 
 
 def _chunks(seed: int, total: int, *key: int):
@@ -114,11 +181,21 @@ def _increments(
     m = ctx.code.batch_size
     trials, batches = ranks.shape
     period = batches * m
-    headers = rng.random((trials, period // n)) < ctx.d
-    received = rng.random((trials, period)) < ctx.f
-    received &= headers[:, np.arange(period) // n]
-    counts = received.reshape(trials, batches, m).sum(axis=2)
-    del headers, received  # not held through the GF(256) draws
+    headers = _bernoulli(rng, ctx.d, (trials, period // n))
+    received = _bernoulli(rng, ctx.f, (trials, period))
+    received &= np.repeat(headers, n, axis=1)
+    del headers
+    # Each batch's packets are M adjacent 0/1 bytes.  Read them as w-byte words,
+    # w = gcd(M, 8): multiplying a word by 0x01..01 adds its bytes into its
+    # top byte.  Then add the M / w words of each batch as strided slices.
+    w = math.gcd(m, 8)
+    words = received.view(f"u{w}").reshape(trials, batches, m // w)
+    ones = words.dtype.type(int.from_bytes(b"\x01" * w, "little"))
+    top = words.dtype.type(8 * w - 8)
+    counts = np.zeros((trials, batches), dtype=np.min_scalar_type(m))
+    for i in range(m // w):
+        counts += (words[:, :, i] * ones) >> top
+    del received, words  # not held through the GF(256) draws
     if mode == RANK_COUNTING:
         return np.minimum(counts, ranks)
     return _gf_increments(rng, counts, ranks, m)
@@ -131,25 +208,31 @@ def _gf_increments(
 
     A batch of rank r is recoded into M packets whose coordinates in the
     r-dimensional received space are uniform; receiving j of them yields the
-    rank of a uniform j x r matrix.  Groups of equal (j, r) are ranked in one
-    vectorized elimination each, in ascending (j, r) order and row-major
-    order within a group, so the stream of random draws is reproducible.
-    One stable sort on the key j * (M + 1) + r yields every group; the key is
-    stored in the narrowest unsigned type, where numpy sorts by radix.
+    rank of a uniform j x r matrix.  Groups of equal (j, r) are ranked in
+    ascending (j, r) order and row-major order within a group, so the stream
+    of random draws is reproducible; a group is drawn and ranked in pieces
+    of at most ``_BLOCK`` coefficients, which keeps the stream because
+    Philox carries its spare 32-bit half-word from one call to the next.
+    One stable sort on the key j * (M + 1) + r, computed in int64 and stored
+    in the narrowest unsigned type, where numpy sorts by radix, yields every
+    group.
     """
     groups = (m + 1) ** 2
-    key = (counts * (m + 1) + ranks).ravel().astype(np.min_scalar_type(groups - 1))
+    key = counts.astype(np.int64) * (m + 1) + ranks
+    key = key.ravel().astype(np.min_scalar_type(groups - 1))
     order = np.argsort(key, kind="stable")
     sizes = np.bincount(key, minlength=groups)
     ends = np.cumsum(sizes)
-    inc = np.zeros(key.size, dtype=np.int64)
+    inc = np.zeros(key.size, dtype=counts.dtype)
     for k in np.flatnonzero(sizes):
         j, r = divmod(int(k), m + 1)
         if j == 0:
             continue
         group = order[ends[k] - sizes[k] : ends[k]]
-        mats = rng.integers(0, 256, size=(group.size, j, r), dtype=np.int64)
-        inc[group] = gf256_rank_many(mats)
+        step = max(1, _BLOCK // (j * r))
+        for start in range(0, group.size, step):
+            piece = group[start : start + step]
+            inc[piece] = gf256_rank_many(_coefficients(rng, (piece.size, j, r)))
     return inc.reshape(counts.shape)
 
 
@@ -292,7 +375,8 @@ def simulate_end_to_end(
     m = ctx.code.batch_size
     payload = ctx.code.payload
     records = []
-    ranks = np.full(trials * m, m, dtype=np.int64)  # about `trials` periods at N=M
+    # About `trials` periods at N = M.
+    ranks = np.full(trials * m, m, dtype=np.min_scalar_type(m))
     for hop in range(1, hops + 1):
         positive = ranks[ranks > 0]
         if positive.size == 0:

@@ -2,13 +2,14 @@
 
 A scenario bundles the byte layout, the code parameters, the loss rates and
 the run controls.  Values come from built-in defaults, then an optional INI
-style config file, then command line flags, in that order.
+style config file, then command line flags, in that order; the merged values
+are checked once, when the ``ScenarioConfig`` is built.
 """
 
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .frame import AggregationContext
 from .network import NodeStrategy
@@ -53,6 +54,13 @@ class ScenarioConfig:
             raise ParameterError("plrs must name at least one PLR")
         if not self.strategies:
             raise ParameterError("strategies must name at least one strategy")
+        # The parameter types check the byte sizes, the PLR range, the
+        # integrity mode and the rank distribution against the batch size.
+        for plr in self.plrs:
+            self.channel(plr)
+        for mode in self.modes():
+            self.code(mode)
+        self.rank_distribution()
 
     def channel(self, plr: float) -> ChannelParams:
         return ChannelParams(
@@ -152,8 +160,8 @@ _INT_KEYS = {
 _STR_KEYS = {"integrity", "rank_dist"}
 
 
-def load_config_file(path: str, base: ScenarioConfig) -> ScenarioConfig:
-    """Overlay an INI config file ([channel], [code], [run] sections) on base."""
+def read_config_file(path: str) -> dict:
+    """The ``ScenarioConfig`` fields an INI file sets ([channel], [code], [run])."""
     parser = configparser.ConfigParser()
     read = parser.read(path)
     if not read:
@@ -182,7 +190,4 @@ def load_config_file(path: str, base: ScenarioConfig) -> ScenarioConfig:
                 raise ParameterError(
                     f"bad value {raw!r} for {key!r} in [{section}]"
                 ) from exc
-    try:
-        return replace(base, **updates)
-    except TypeError as exc:
-        raise ParameterError(str(exc)) from exc
+    return updates

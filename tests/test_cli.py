@@ -1,6 +1,11 @@
+import contextlib
 import io
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bncagg import (
     AggregationContext,
@@ -285,8 +290,10 @@ class TestConfigBoundary:
             (["efficiency-curve", "--hops", "0"], "hops must be >= 1"),
             (["throughput", "--mc", "--seed", "-1", "--hops", "1", "--trials", "10"],
              "seed must be >= 0"),
+            (["throughput", "--mc", "--strategy", "fixed:0", "--hops", "1", "--trials", "10"],
+             "bad fixed strategy"),
         ],
-        ids=["zero-hops", "negative-seed"],
+        ids=["zero-hops", "negative-seed", "fixed-zero"],
     )
     def test_out_of_range_flag_is_usage_error(self, capsys, args, message):
         code, out, err = run_cli(args, capsys)
@@ -319,3 +326,106 @@ class TestConfigBoundary:
         assert code == 2
         assert err.startswith("error: unknown rank distribution")
         assert out == ""
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"mtu": -1},
+            {"dl_trailer": -4},
+            {"payload": 0},
+            {"bnc_header": -1},
+            {"batch_size": 0},
+            {"plrs": (0.1, 1.0)},
+            {"plrs": (float("nan"),)},
+            {"integrity": "crc"},
+            {"integrity": "both", "fec_bytes": 0},
+            {"batch_size": 3, "rank_dist": "explicit:0.5,0.5"},
+        ],
+    )
+    def test_config_checks_its_fields_when_built(self, fields):
+        with pytest.raises(ParameterError):
+            ScenarioConfig(**fields)
+
+    def test_config_is_checked_once_merged(self, tmp_path, capsys):
+        # fec_bytes = 0 is invalid under throughput's default of both modes,
+        # but the flag picks checksum before anything is checked.
+        cfg = tmp_path / "scenario.ini"
+        cfg.write_text("[code]\nfec_bytes = 0\n")
+        args = ["throughput", "--config", str(cfg), "--hops", "1", "--plr", "0.1",
+                "--strategy", "fixed:1"]
+        code, out, _ = run_cli(args + ["--integrity", "checksum"], capsys)
+        assert code == 0
+        assert parse_csv(out)[0] == ["hop", "plr0.1_fixed1_checksum"]
+        code, _, err = run_cli(args, capsys)
+        assert code == 2
+        assert err.startswith("error: fec mode requires")
+
+
+# Flag and INI values for the fuzz test: for each key the values that are
+# valid on their own, then junk and out-of-range ones.  All are small enough
+# that any mix runs in milliseconds.
+_VALUES = {
+    "plr": (["0", "0.2", "0.5"], ["1", "-0.1", "nan", "x"]),
+    "batch_size": (["1", "3", "4"], ["-1", "0", "x"]),
+    "payload": (["64", "256"], ["-1", "0"]),
+    "bnc_header": (["0", "6"], ["-1"]),
+    "integrity": (["checksum", "fec", "both"], ["crc"]),
+    "fec_bytes": (["1", "3"], ["-1", "0"]),
+    "mtu": (["100", "1500"], ["-1", "0"]),
+    "hops": (["1", "3"], ["-1", "0"]),
+    "strategy": (["optimal", "largest", "fixed:1", "fixed:5"], ["fixed:0", "fixed:x", ","]),
+    "rank_dist": (["degenerate", "binomial:0.5"], ["binomial:2", "explicit:1", "uniform"]),
+    "seed": (["0", "7"], ["-1"]),
+    "trials": (["1", "40"], ["-1", "0"]),
+    "mc": (["true", "no"], ["perhaps"]),
+}
+
+
+def _value(key):
+    good, bad = _VALUES[key]
+    return st.sampled_from(good + good + bad)
+
+
+@st.composite
+def _cli_input(draw):
+    """A random argv, and maybe the text of an INI file it names."""
+    command = ["efficiency-curve", "throughput", "validate"]
+    argv = [draw(st.sampled_from(command * 3 + ["plot"]))]
+    for key in draw(st.lists(st.sampled_from(sorted(_VALUES)), max_size=4)):
+        if key == "mc":
+            argv.append("--mc")
+        else:
+            argv += [f"--{key.replace('_', '-')}", draw(_value(key))]
+    # Bound the Monte Carlo work whatever else is drawn.
+    argv += ["--trials", draw(_value("trials"))]
+    if draw(st.booleans()):
+        return argv, None
+    lines = []
+    sections = ["channel", "code", "run", "run", "nowhere"]
+    for section in draw(st.lists(st.sampled_from(sections), max_size=2, unique=True)):
+        lines.append(f"[{section}]")
+        keys = sorted(_VALUES) + ["colour"]
+        for key in draw(st.lists(st.sampled_from(keys), max_size=3, unique=True)):
+            value = "red" if key == "colour" else draw(_value(key))
+            lines.append(f"{key} = {value}")
+    return argv, "\n".join(lines) + "\n"
+
+
+class TestFuzzedArguments:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(_cli_input())
+    def test_exit_code_without_traceback(self, case):
+        argv, ini = case
+        out, err = io.StringIO(), io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp:
+            if ini is not None:
+                path = Path(tmp) / "scenario.ini"
+                path.write_text(ini)
+                argv = argv + ["--config", str(path)]
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                try:
+                    code = main(argv)
+                except SystemExit as exc:  # argparse rejects the argv
+                    code = exc.code
+        assert code in (0, 1, 2), (argv, ini, err.getvalue())
+        assert "Traceback" not in out.getvalue() + err.getvalue()

@@ -1,3 +1,6 @@
+import contextlib
+import hashlib
+import io
 import math
 
 import numpy as np
@@ -18,7 +21,19 @@ from bncagg import (
     simulate_period,
 )
 from bncagg.gf256 import GF_INV, gf256_rank, gf256_rank_many, gf_mul
-from bncagg.oracle import _CHUNK, GF256_MATRIX, RANK_COUNTING, HopEstimate, uniform_rank_pmf
+from bncagg.cli import main
+from bncagg.oracle import (
+    _BLOCK,
+    _CHUNK,
+    GF256_MATRIX,
+    RANK_COUNTING,
+    HopEstimate,
+    _bernoulli,
+    _coefficients,
+    _draw_ranks,
+    _word_bound,
+    uniform_rank_pmf,
+)
 from helpers import make_ctx, rank_pmf_bruteforce
 
 CH = ChannelParams(baseline_plr=0.10)
@@ -174,6 +189,116 @@ class TestChunkBoundaries:
             HopEstimate(hop=2, n=4, throughput=0.7621881081081082,
                         std_error=0.0005053100669789558),
         ]
+
+
+class _GivenWords:
+    """Stands in for a Generator whose raw Philox words are given."""
+
+    def __init__(self, words):
+        self.bit_generator = self
+        self.words = words
+
+    def random_raw(self, size):
+        out, self.words = self.words[:size], self.words[size:]
+        return out
+
+
+def _interleaved(draw):
+    """Odd uint32 draws around ``draw`` leave Philox's spare half-word set."""
+    rng = np.random.Generator(np.random.Philox(SEED))
+    return [
+        rng.integers(0, 1 << 32, 3, dtype=np.uint32),
+        draw(rng),
+        rng.integers(0, 1 << 32, 5, dtype=np.uint32),
+        rng.random(3),
+    ]
+
+
+class TestStreamEquivalence:
+    """The draw step reads the Philox words that the plain numpy calls read."""
+
+    PROBS = [0.0, 2.0**-53, 0.2, 0.8, 1.0 - 2.0**-53, 1.0]
+
+    @pytest.mark.parametrize("p", PROBS)
+    @pytest.mark.parametrize("shape", [(5, 7), (3, _BLOCK // 2 + 5), (0, 4)])
+    def test_bernoulli_matches_random(self, p, shape):
+        got = _interleaved(lambda rng: _bernoulli(rng, p, shape))
+        expect = _interleaved(lambda rng: rng.random(shape) < p)
+        for a, b in zip(got, expect):
+            assert a.dtype == b.dtype
+            np.testing.assert_array_equal(a, b)
+
+    def test_words_at_the_bounds(self):
+        # Feed the words on either side of every bound and compare with the
+        # map random() applies to a word, w -> (w >> 11) * 2^-53.
+        hbar = RankDistribution.from_masses([0.0, 0.3, 0.0, 0.7])
+        cum = np.cumsum(hbar.masses)
+        probs = self.PROBS + [0.3, np.nextafter(0.3, 1.0), 1.5, -0.5] + list(cum)
+        near = [b + k for b in map(_word_bound, probs) for k in (-1, 0, 1)]
+        words = np.array([w for w in near if 0 <= w < 1 << 64], dtype=np.uint64)
+        uniform = (words >> np.uint64(11)) * 2.0**-53
+        for p in probs:
+            got = _bernoulli(_GivenWords(words), p, words.shape)
+            np.testing.assert_array_equal(got, uniform < p)
+        cum[-1] = 1.0
+        expect = np.searchsorted(cum, uniform, side="right") + 1
+        got = _draw_ranks(_GivenWords(words), hbar, words.shape)
+        np.testing.assert_array_equal(got, expect)
+
+    @pytest.mark.parametrize("shape", [(3, 4, 4), (1, 1, 3), (_BLOCK // 15 + 1, 3, 5)])
+    def test_coefficients_match_int64_draw(self, shape):
+        got = _interleaved(lambda rng: _coefficients(rng, shape))
+        expect = _interleaved(lambda rng: rng.integers(0, 256, shape, dtype=np.int64))
+        assert got[1].dtype == np.uint8
+        for a, b in zip(got, expect):
+            np.testing.assert_array_equal(a, b)
+
+    def test_gf256_at_m16_pinned(self):
+        # Pinned from the int64 draws: with uint8 counts the group key
+        # j * (M + 1) + r would overflow at M = 16.
+        ctx = AggregationContext.build(
+            CH,
+            CodeParams(batch_size=16, payload=256, bnc_header=18, integrity=2),
+            RankDistribution.truncated_binomial(16),
+        )
+        est = simulate_period(
+            TrialConfig(ctx=ctx, n=5, seed=SEED, trials=3000, mode=GF256_MATRIX)
+        )
+        assert est.mean == 3.9685423455706585
+        assert est.std_error == 0.004100514447668732
+        assert est.rank_histogram[4:10] == (
+            6.666666666666667e-05,
+            0.00046666666666666666,
+            0.0006,
+            0.0024,
+            0.006866666666666667,
+            0.026733333333333335,
+        )
+        assert est.rank_histogram[16] == 0.006466666666666667
+
+    @pytest.mark.parametrize("mode", [RANK_COUNTING, GF256_MATRIX])
+    def test_m256_counts_do_not_wrap(self, mode):
+        # At PLR 0 every one of the 256 packets arrives, which a uint8 count
+        # would read as 0.
+        ctx = AggregationContext.build(
+            ChannelParams(baseline_plr=0.0),
+            CodeParams(batch_size=256, payload=256, bnc_header=258, integrity=2),
+            RankDistribution.truncated_binomial(256, 0.995),
+        )
+        est = simulate_period(TrialConfig(ctx=ctx, n=1, seed=SEED, trials=6, mode=mode))
+        assert est.mean == 0.9973958333333334
+        assert est.std_error == 0.0011886340223549933
+        hist = {k: v for k, v in enumerate(est.rank_histogram) if v}
+        assert hist == {254: 1 / 6, 255: 1 / 3, 256: 0.5}
+
+    def test_throughput_mc_csv_pinned(self):
+        # PLR 0 gives f = d = 1, the bound that no uint64 holds.
+        out = io.StringIO()
+        args = ["throughput", "--mc", "--plr", "0", "--plr", "0.2"]
+        with contextlib.redirect_stdout(out):
+            assert main(args + ["--hops", "4", "--trials", "3000"]) == 0
+        digest = hashlib.md5(out.getvalue().encode()).hexdigest()
+        assert digest == "3f40020db8b7414f95725d63f9960ce2"
 
 
 class TestUniformRankLaw:
