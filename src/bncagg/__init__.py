@@ -19,8 +19,6 @@ from .network import (
     HopTrace,
     NodeStrategy,
     aggregate_reception_pmf,
-    batch_reception_distribution,
-    evolve_rank_distribution,
     simulate_line_network,
 )
 from .oracle import (
@@ -66,7 +64,6 @@ __all__ = [
     "TrialConfig",
     "aggregate_reception_pmf",
     "baseline_plr_from_ber",
-    "batch_reception_distribution",
     "ber_from_plr",
     "beta",
     "beta_prime",
@@ -74,7 +71,6 @@ __all__ = [
     "binom_pmf",
     "bnc_packet_survival",
     "enumerate_period_exact",
-    "evolve_rank_distribution",
     "expected_rank_increment",
     "frame_efficiency",
     "frame_size",

@@ -8,9 +8,11 @@ expected rank increment E a frame adds at the next node, given the frame's
 own header arrives, follows from pi_N in one dot product, and frame
 efficiency is d * K * E / S(N).
 
-pi_N depends on (M, N, f, d) but not on the rank distribution, so it is
-cached: an ``optimize_n`` scan and every hop of a line network at the same
-loss rate share the entries.  The paper's phase-average terms (beta, gamma,
+pi_N depends on (M, N, f, d) but not on the rank distribution, so one
+read-only table per (M, n_max, f, d) is cached, row N - 1 holding pi_N (and
+built past n_max when a larger N is asked for).  E for every N is one
+product with it, a scan is one argmax, and every hop of a line network at
+the same loss rate reads it.  The paper's phase-average terms (beta, gamma,
 omega) compute the same E frame by frame; they live in ``reference`` and
 the tests hold this module to them.
 """
@@ -37,10 +39,10 @@ from .probability import (
     header_survival,
 )
 
-# Bound on the cached pi_N arrays.  A 10-hop line-network run at one loss
-# rate touches one entry per feasible N; the README figures touch a few
-# hundred in all.
-_PMF_CACHE_SIZE = 1024
+# Bound on the cached reception tables.  A table holds n_max x (M + 1) floats,
+# 23 KiB at M = 32, K = 64, so a full cache stays under 3 MiB there.  A 10-hop
+# line network at one loss rate reads one table; the README figures, a handful.
+_PMF_CACHE_SIZE = 128
 
 
 @dataclass(frozen=True)
@@ -97,7 +99,7 @@ class EfficiencyProfile:
     best_n: int
 
     def value(self, n: int) -> float:
-        if not 1 <= n <= self.n_max:
+        if not (isinstance(n, int) and 1 <= n <= self.n_max):
             raise InfeasibleError(f"N={n} outside 1..{self.n_max}")
         return self.efficiency[n - 1]
 
@@ -116,7 +118,7 @@ def frame_size(n: int, channel: ChannelParams, code: CodeParams) -> int:
 
 def max_feasible_n(channel: ChannelParams, code: CodeParams) -> int:
     """Largest n with proto_header + n * packet_size <= max_payload."""
-    n = (channel.max_payload - channel.proto_header) // code.packet_size
+    n = _capacity(channel, code)
     if n < 1:
         raise InfeasibleError(
             f"no feasible aggregation count: payload {channel.max_payload} too"
@@ -133,13 +135,9 @@ def expected_rank_increment(n: int, ctx: AggregationContext) -> float:
     E = (N / M) * sum_j pi_N[j] * e[j] / d, where pi_N is the lineage
     reception pmf and e[j] = E_r[min(j, r)].
     """
-    if not (isinstance(n, int) and n >= 1):
-        raise ParameterError(f"aggregation count must be >= 1, got {n!r}")
     if ctx.d <= 0.0:
         raise ParameterError("header survival is zero; E is undefined")
-    pmf = lineage_reception_pmf(n, ctx)
-    m = ctx.code.batch_size
-    return n / m * float(pmf @ _expected_min_table(ctx)) / ctx.d
+    return float(_increments(ctx, n)[n - 1])
 
 
 def lineage_reception_pmf(n: int, ctx: AggregationContext) -> np.ndarray:
@@ -148,49 +146,43 @@ def lineage_reception_pmf(n: int, ctx: AggregationContext) -> np.ndarray:
     Entry j is the probability that a batch gets j of its M packets through,
     with header loss (probability 1 - d per frame) and per-packet loss folded
     in; independent across the groups of one batch since they ride distinct
-    frames.  pi_N does not depend on the rank distribution, so the array is
-    cached per (M, N, f, d) and shared by every caller: it is read-only.
+    frames.  The array is row N - 1 of the context's cached reception table,
+    shared by every caller: it is read-only.
     """
-    return _lineage_pmf(ctx.code.batch_size, n, ctx.f, ctx.d)
-
-
-@functools.lru_cache(maxsize=_PMF_CACHE_SIZE)
-def _lineage_pmf(m: int, n: int, f: float, d: float) -> np.ndarray:
-    lineages = batch_lineages(m, n)
-    groups = {
-        size: np.array([bin_d_pmf(i, size, f, d) for i in range(size + 1)])
-        for size in {size for sizes in lineages for size in sizes}
-    }
-    acc = np.zeros(m + 1)
-    for sizes in lineages:
-        pmf = np.ones(1)
-        for size in sizes:
-            pmf = np.convolve(pmf, groups[size])
-        acc += pmf
-    acc /= len(lineages)
-    acc.flags.writeable = False
-    return acc
+    return _table(ctx, n)[n - 1]
 
 
 def frame_efficiency(n: int, ctx: AggregationContext) -> float:
-    """Expected useful payload bytes per byte sent, d * K * E / S(N)."""
-    if n > max_feasible_n(ctx.channel, ctx.code):
-        raise InfeasibleError(
-            f"N={n} exceeds the feasible bound"
-            f" {max_feasible_n(ctx.channel, ctx.code)}"
-        )
-    if ctx.d <= 0.0:
-        return 0.0  # no header arrives, so no payload byte is useful
-    e = expected_rank_increment(n, ctx)
-    return ctx.d * ctx.code.payload * e / frame_size(n, ctx.channel, ctx.code)
+    """Expected useful payload bytes per byte sent, d * K * E / S(N).
+
+    The entry for N of the ``optimize_n`` scan, so the two always agree.
+    """
+    return optimize_n(ctx)[1].value(n)
 
 
 def optimize_n(ctx: AggregationContext) -> tuple[int, EfficiencyProfile]:
     """Exhaustive scan over feasible N; ties break toward the smallest N."""
     n_max = max_feasible_n(ctx.channel, ctx.code)
-    values = tuple(frame_efficiency(n, ctx) for n in range(1, n_max + 1))
-    best = max(range(n_max), key=lambda i: (values[i], -i)) + 1
-    return best, EfficiencyProfile(n_max=n_max, efficiency=values, best_n=best)
+    if ctx.d <= 0.0:
+        values = np.zeros(n_max)  # no header arrives, so no payload byte is useful
+    else:
+        step = ctx.code.packet_size
+        sizes = frame_size(1, ctx.channel, ctx.code) + np.arange(n_max) * step
+        values = ctx.d * ctx.code.payload * _increments(ctx, n_max) / sizes
+    best = int(np.argmax(values)) + 1
+    return best, EfficiencyProfile(n_max, tuple(values.tolist()), best)
+
+
+def _capacity(channel: ChannelParams, code: CodeParams) -> int:
+    """BNC packets that fit in one payload; below 1 when none does."""
+    return (channel.max_payload - channel.proto_header) // code.packet_size
+
+
+def _increments(ctx: AggregationContext, n: int) -> np.ndarray:
+    """E for N = 1..max(n, n_max): one product of the table with e."""
+    table = _table(ctx, n)
+    ns = np.arange(1, len(table) + 1)
+    return ns / ctx.code.batch_size * (table @ _expected_min_table(ctx)) / ctx.d
 
 
 def _expected_min_table(ctx: AggregationContext) -> np.ndarray:
@@ -198,3 +190,32 @@ def _expected_min_table(ctx: AggregationContext) -> np.ndarray:
     m = ctx.code.batch_size
     mins = np.minimum.outer(np.arange(m + 1), np.arange(1, m + 1))
     return mins @ np.asarray(ctx.rank_dist.masses)
+
+
+def _table(ctx: AggregationContext, n: int) -> np.ndarray:
+    """The context's reception table, with rows for N = 1..max(n, n_max)."""
+    if not (isinstance(n, int) and n >= 1):
+        raise ParameterError(f"aggregation count must be >= 1, got {n!r}")
+    rows = max(n, _capacity(ctx.channel, ctx.code))
+    return _reception_table(ctx.code.batch_size, rows, ctx.f, ctx.d)
+
+
+@functools.lru_cache(maxsize=_PMF_CACHE_SIZE)
+def _reception_table(m: int, rows: int, f: float, d: float) -> np.ndarray:
+    groups = {
+        size: np.array([bin_d_pmf(i, size, f, d) for i in range(size + 1)])
+        for size in range(1, min(m, rows) + 1)
+    }
+
+    @functools.cache  # the same lineage recurs at many N
+    def lineage_pmf(sizes: tuple[int, ...]) -> np.ndarray:
+        return functools.reduce(np.convolve, (groups[s] for s in sizes), np.ones(1))
+
+    table = np.zeros((rows, m + 1))
+    for n, row in enumerate(table, start=1):
+        lineages = batch_lineages(m, n)
+        for sizes in lineages:
+            row += lineage_pmf(sizes)
+        row /= len(lineages)
+    table.flags.writeable = False
+    return table

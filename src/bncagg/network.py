@@ -3,8 +3,8 @@
 Each node re-chunks its outgoing stream into its own (M, N) period starting
 at phase 0, so a batch's next-hop rank depends only on its own group split.
 A batch of rank r that receives j packets leaves with rank min(j, r), so one
-hop is the (M + 1) x (M + 1) transition matrix built from the model's
-cached lineage reception pmf pi_N.  Batches that fall to rank 0 stay in the
+hop is the (M + 1) x (M + 1) transition matrix built from pi_N, row N - 1
+of the model's cached reception table.  Batches that fall to rank 0 stay in the
 pipeline (they still cost bytes); their mass is tracked in a separate bucket
 and the per-hop efficiency is scaled by the probability of rank >= 1.
 """
@@ -96,31 +96,6 @@ def aggregate_reception_pmf(n: int, ctx: AggregationContext) -> np.ndarray:
     :func:`bncagg.frame.lineage_reception_pmf`.
     """
     return lineage_reception_pmf(n, ctx).copy()
-
-
-def batch_reception_distribution(r: int, n: int, ctx: AggregationContext) -> np.ndarray:
-    """Distribution of the next-hop rank of a batch of rank r (length r + 1)."""
-    m = ctx.code.batch_size
-    if not 1 <= r <= m:
-        raise ParameterError(f"rank must be in 1..{m}, got {r}")
-    if n > max_feasible_n(ctx.channel, ctx.code):
-        raise InfeasibleError(f"N={n} is not feasible")
-    return _transition_matrix(n, ctx)[r, : r + 1]
-
-
-def evolve_rank_distribution(
-    hbar: RankDistribution, n: int, ctx: AggregationContext
-) -> RankDistribution:
-    """Next-hop rank distribution conditioned on rank >= 1.
-
-    The mass falling to rank 0 is dropped and the remainder renormalized;
-    :func:`simulate_line_network` keeps the rank 0 bucket explicitly.
-    """
-    full = np.concatenate(([0.0], np.asarray(hbar.masses)))
-    nxt = _evolve_full(full, n, ctx.with_rank_dist(hbar))
-    if nxt[1:].sum() <= 0.0:
-        raise ParameterError("all mass fell to rank 0; distribution undefined")
-    return RankDistribution.from_masses(nxt[1:])
 
 
 def simulate_line_network(

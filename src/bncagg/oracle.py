@@ -54,7 +54,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .frame import AggregationContext, frame_efficiency, frame_size, max_feasible_n
+from .frame import AggregationContext, frame_size
 from .gf256 import gf256_rank_many
 from .network import NodeStrategy
 from .params import EnumerationSizeError, ParameterError, RankDistribution

@@ -129,15 +129,6 @@ class RankDistribution:
     def batch_size(self) -> int:
         return len(self.masses)
 
-    def mass(self, rank: int) -> float:
-        """Probability of ``rank``; zero outside 1..M."""
-        if 1 <= rank <= len(self.masses):
-            return self.masses[rank - 1]
-        return 0.0
-
-    def expected_rank(self) -> float:
-        return sum(r * m for r, m in enumerate(self.masses, start=1))
-
     @classmethod
     def from_masses(cls, masses) -> "RankDistribution":
         """Normalize ``masses`` (indexed by rank - 1) and build a distribution."""

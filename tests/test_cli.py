@@ -186,6 +186,24 @@ class TestValidateAndConfig:
         assert "FAIL" not in out
         assert out.strip().endswith("0 failure(s)")
 
+    @pytest.mark.parametrize("trials", ("1", "2", "99"))
+    def test_validate_rejects_too_few_trials(self, trials, capsys):
+        # With a handful of trials every trial agrees, se = 0, and the Monte
+        # Carlo lines would FAIL on working code.
+        code, out, err = run_cli(["validate", "--trials", trials], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: validate needs --trials >= 100")
+
+    def test_validate_at_an_mtu_with_only_n_1(self, capsys):
+        # L = 400 fits one BNC packet; validate evaluates E at N = 4 anyway.
+        argv = ["validate", "--trials", "2000", "--seed", "3"]
+        code, out, _ = run_cli(argv + ["--mtu", "400"], capsys)
+        assert code == 0
+        _, default, _ = run_cli(argv, capsys)
+        assert out == default
+        assert "0 failure(s)" in out
+
     def test_config_file_overlay(self, tmp_path, capsys):
         cfg = tmp_path / "scenario.ini"
         cfg.write_text(

@@ -10,6 +10,7 @@ from bncagg import (
     ChannelParams,
     CodeParams,
     InfeasibleError,
+    NodeStrategy,
     ParameterError,
     PhaseError,
     RankDistribution,
@@ -24,7 +25,9 @@ from bncagg import (
     max_feasible_n,
     omega,
     optimize_n,
+    simulate_line_network,
 )
+from bncagg import frame
 from bncagg.frame import lineage_reception_pmf
 from bncagg.reference import phase_average_increment
 from helpers import expected_increment, make_ctx, period_expected_increment
@@ -322,6 +325,48 @@ class TestReceptionPmfCache:
         assert not np.allclose(pmf, aggregate_reception_pmf(3, other_d))
         assert expected_rank_increment(3, base) != expected_rank_increment(3, other_f)
         assert expected_rank_increment(3, base) != expected_rank_increment(3, other_d)
+
+
+class TestReceptionTable:
+    """Every use of the model reads one cached table per (M, n_max, f, d)."""
+
+    @pytest.mark.parametrize("m", (4, 16, 32))
+    def test_scalar_is_the_scan_entry(self, m):
+        code = CodeParams(batch_size=m, payload=64, bnc_header=m + 2, integrity=2)
+        hbar = RankDistribution.truncated_binomial(m)
+        ctx = AggregationContext.build(ChannelParams(baseline_plr=0.2), code, hbar)
+        profile = optimize_n(ctx)[1]
+        for n in range(1, profile.n_max + 1):
+            assert frame_efficiency(n, ctx) == profile.efficiency[n - 1], n
+
+    def test_scan_and_line_network_build_one_table(self):
+        # A loss rate no other test uses, so the table is not cached yet.
+        ctx = AggregationContext.build(ChannelParams(baseline_plr=0.1734), CODE)
+        before = frame._reception_table.cache_info().misses
+        optimize_n(ctx)
+        simulate_line_network(10, NodeStrategy.optimal(), ctx)
+        assert frame._reception_table.cache_info().misses == before + 1
+
+    @pytest.mark.parametrize("mtu", (400, 200))
+    def test_defined_beyond_n_max(self, mtu):
+        # At L = 400 only N = 1 fits and at L = 200 no N does, yet E(N) and
+        # pi_N stay defined for every N.
+        hbar = RankDistribution.truncated_binomial(4)
+        ctx = make_ctx(4, f=0.6, d=0.85, hbar=hbar, payload=256, mtu=mtu)
+        for n in range(1, 12):
+            assert expected_rank_increment(n, ctx) == pytest.approx(
+                phase_average_increment(n, ctx), rel=1e-12
+            ), n
+            assert lineage_reception_pmf(n, ctx).sum() == pytest.approx(1.0, abs=1e-12)
+        with pytest.raises(InfeasibleError):
+            frame_efficiency(2, ctx)
+
+    def test_rejects_bad_n(self):
+        ctx = make_ctx(4, f=0.6, d=0.85)
+        for fn in (expected_rank_increment, lineage_reception_pmf, frame_efficiency):
+            for n in (0, -1, 2.0):
+                with pytest.raises(ParameterError):
+                    fn(n, ctx)
 
 
 class TestPhaseAverageReference:

@@ -10,12 +10,11 @@ from bncagg import (
     ParameterError,
     RankDistribution,
     aggregate_reception_pmf,
-    batch_reception_distribution,
-    evolve_rank_distribution,
     frame_efficiency,
     max_feasible_n,
     simulate_line_network,
 )
+from bncagg.network import _evolve_full, _transition_matrix
 from helpers import make_ctx, reception_pmf_bruteforce
 
 CH = ChannelParams(baseline_plr=0.20)
@@ -73,37 +72,41 @@ class TestReceptionPmf:
 
     def test_matches_bruteforce(self):
         ctx = make_ctx(3, f=0.5, d=0.9)
-        got = batch_reception_distribution(3, 5, ctx)
+        got = _transition_matrix(5, ctx)[3]
         expect = reception_pmf_bruteforce(3, 5, ctx)
         assert np.allclose(got, expect, atol=1e-13)
 
     def test_truncation_at_rank(self):
+        # Row r of the hop transition is the next-hop rank pmf of a rank-r
+        # batch: nothing above r, and the mass of j >= r received sits at r.
         ctx = make_ctx(4, f=0.6, d=0.8)
-        out = batch_reception_distribution(2, 3, ctx)
-        assert out.size == 3
-        assert out.sum() == pytest.approx(1.0, abs=1e-12)
-        with pytest.raises(ParameterError):
-            batch_reception_distribution(0, 3, ctx)
-        with pytest.raises(ParameterError):
-            batch_reception_distribution(5, 3, ctx)
+        t = _transition_matrix(3, ctx)
+        assert t.shape == (5, 5)
+        assert np.allclose(t.sum(axis=1), 1.0, atol=1e-12)
+        assert not np.triu(t, k=1).any()
+        for r in range(5):
+            assert np.allclose(t[r, :r], aggregate_reception_pmf(3, ctx)[:r], atol=0)
 
 
 class TestEvolution:
     def test_lossless_fixed_point(self):
-        ctx = make_ctx(4, f=1.0, d=1.0, hbar=RankDistribution.truncated_binomial(4))
-        hbar = RankDistribution.truncated_binomial(4)
-        out = evolve_rank_distribution(hbar, 3, ctx)
-        assert np.allclose(out.masses, hbar.masses, atol=1e-13)
+        ctx = make_ctx(4, f=1.0, d=1.0)
+        full = np.concatenate(([0.0], RankDistribution.truncated_binomial(4).masses))
+        assert np.allclose(_evolve_full(full, 3, ctx), full, atol=1e-13)
+        trace = simulate_line_network(4, NodeStrategy.fixed(3), ctx)
+        for rec in trace.records:
+            assert rec.delivered == pytest.approx(1.0, abs=1e-13)
+            assert np.allclose(rec.rank_dist.masses, (0.0, 0.0, 0.0, 1.0), atol=1e-13)
 
     def test_expected_rank_never_increases(self):
         ctx = make_ctx(4, f=0.8, d=0.95)
-        hbar = RankDistribution.degenerate(4)
-        for _ in range(6):
-            nxt = evolve_rank_distribution(hbar, 3, ctx)
-            mean = sum((r + 1) * w for r, w in enumerate(nxt.masses))
-            prev = sum((r + 1) * w for r, w in enumerate(hbar.masses))
-            assert mean <= prev + 1e-12
-            hbar = nxt
+        trace = simulate_line_network(7, NodeStrategy.fixed(3), ctx)
+        means = [
+            sum(r * w for r, w in enumerate(rec.rank_dist.masses, start=1))
+            for rec in trace.records
+        ]
+        assert all(b <= a + 1e-12 for a, b in zip(means, means[1:]))
+        assert means[-1] < means[0]
 
     def test_lost_mass_is_an_internal_fault(self, monkeypatch):
         import bncagg.network as network
@@ -114,7 +117,7 @@ class TestEvolution:
         )
         ctx = make_ctx(4, f=0.8, d=0.95)
         with pytest.raises(RuntimeError, match="N=3 lost mass") as info:
-            evolve_rank_distribution(RankDistribution.degenerate(4), 3, ctx)
+            simulate_line_network(2, NodeStrategy.fixed(3), ctx)
         assert not isinstance(info.value, ParameterError)
         assert "0.9" in str(info.value)
 
