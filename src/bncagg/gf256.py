@@ -5,14 +5,17 @@ Log/antilog tables with generator 0x03 build, at import, a 64 KiB uint8
 product table indexed by ``(x << 8) | y``; addition is XOR.  Field entries
 must be integers in 0..255, anything else raises ``ParameterError``.
 
-Rank reduction runs over a whole stack of matrices at once, on a uint8 copy
-transposed so that rows <= cols, with no row swaps and no per-matrix
-branching: for each column the first unused row with a nonzero entry is the
-pivot (found by mask), its trailing entries are scaled by the pivot's
-inverse, and the trailing columns of every other unused row are cleared with
-one product-table lookup.  A single row or column short-circuits to "any
-nonzero entry".  About two million uniform 4x4 matrices are ranked per
-second on one core this way.
+Rank reduction runs over a whole stack of matrices at once, with no row
+swaps and no per-matrix branching, on a uint8 copy transposed so that
+rows <= cols and laid out (cols, rows, count): every elementwise step runs
+along the stack.  For each column the first nonzero row is the pivot.  Its
+one-hot mask reads the pivot and the pivot row, whose trailing entries are
+scaled by the pivot's inverse, and each trailing column of every row is
+then cleared with one product-table lookup.  A single row or column
+short-circuits to "any nonzero entry".  About four million uniform 4x4
+matrices are ranked per second on one core this way.  The layout suits
+stacks of many small matrices; a stack of a few matrices with hundreds of
+rows spends its time in numpy calls on short runs.
 """
 
 from __future__ import annotations
@@ -95,33 +98,56 @@ def gf256_rank_many(matrices: np.ndarray) -> np.ndarray:
         rows, cols = cols, rows
     if rows == 1 or count == 0:
         return a.any(axis=(1, 2)).astype(np.int64)
-    # A private uint8 copy laid out (cols, count, rows): column c of every
-    # matrix is one contiguous block, and entry (i, r) of it sits at flat
-    # position i * rows + r.
-    a = a.transpose(2, 0, 1).astype(np.uint8, order="C")
-    first_row = np.arange(0, count * rows, rows)
-    rank = np.zeros(count, dtype=np.int64)
+    # A private uint8 copy laid out (cols, rows, count): entry (r, c) of every
+    # matrix is one contiguous run, so each step below loops along count.
+    a = a.transpose(2, 1, 0).astype(np.uint8, order="C")
+    rank = np.zeros(count, dtype=np.min_scalar_type(rows))
+    # Row r weighs rows - r, so the heaviest nonzero entry of a column is
+    # its first nonzero one.
+    weight = np.arange(rows, 0, -1, dtype=rank.dtype)[:, None]
+    key = np.empty((rows, count), dtype=rank.dtype)
+    # Trailing columns are cleared `group` at a time, enough to fill 2^15
+    # entries when the matrices are large and few.  The product-table
+    # indices are built in an intp buffer, as np.take copies any other index
+    # type into a temporary intp array.
+    group = max(1, (1 << 15) // (rows * count))
+    index = np.empty((group, rows, count), dtype=np.intp)
+    product = np.empty((group, rows, count), dtype=np.uint8)
     for col in range(cols):
         # A row that was a pivot is zero in every later column (see below),
         # so the first nonzero entry of the column is the first unused one.
-        column = a[col].reshape(-1)
-        nonzero = column != 0
-        pivot = first_row + nonzero.reshape(count, rows).argmax(axis=1)
-        rank += nonzero[pivot]
-        if col + 1 == cols:
+        column = a[col]
+        np.multiply(column != 0, weight, out=key)
+        top = key.max(axis=0)
+        rank += top != 0
+        if col + 1 == cols or rank.min() == rows:
             break
-        # Scale each pivot row's trailing entries by the pivot's inverse and
-        # subtract column col's multiple of it from every row, the pivot row
-        # included, which clears it.  A matrix without a pivot here has a
-        # zero column, so its factors are all zero and nothing changes.
-        trailing = a[col + 1 :].reshape(cols - col - 1, -1)
-        inverse = GF_INV[column[pivot]] << 8
-        scaled = GF_MUL_TABLE[inverse | trailing[:, pivot]]
-        factor = (column.astype(np.uint16) << 8).reshape(count, rows)
-        trailing ^= GF_MUL_TABLE[factor | scaled[:, :, None]].reshape(trailing.shape)
-        if rank.min() == rows:
-            break
-    return rank
+        # Read the pivot and the pivot row's trailing entries under the
+        # pivot's one-hot mask, and scale those entries by the pivot's
+        # inverse.  Then subtract column col's multiple of that row from
+        # every row, the pivot row included, which clears it.  A matrix
+        # without a pivot here has a zero column: its mask selects every row
+        # and its pivot reads 0, whose inverse is 0, so nothing changes.
+        mask = (key == top).view(np.uint8) * np.uint8(0xFF)
+        pivot = np.bitwise_or.reduce(column & mask, axis=0)
+        trailing = a[col + 1 :]
+        scaled = np.bitwise_or.reduce(trailing & mask, axis=1).astype(np.intp)
+        scaled |= GF_INV.take(pivot) << 8
+        # Every index lies in the 64 KiB table; mode="clip" only skips the
+        # bounds check that raising would need.
+        scaled = GF_MUL_TABLE.take(scaled, mode="clip")
+        # Slot k of `index` starts as (column << 8) and steps by XOR from
+        # one trailing column's scaled entries to the next group's, so that
+        # it holds (column << 8) | scaled[t] when column t is cleared.
+        steps = scaled.copy()
+        steps[group:] ^= scaled[:-group]
+        np.left_shift(column, 8, out=index, dtype=np.intp)
+        for start in range(0, cols - col - 1, group):
+            n = min(group, cols - col - 1 - start)
+            index[:n] ^= steps[start : start + n, None].astype(np.intp)
+            np.take(GF_MUL_TABLE, index[:n], out=product[:n], mode="clip")
+            trailing[start : start + n] ^= product[:n]
+    return rank.astype(np.int64)
 
 
 def gf256_rank(matrix) -> int:

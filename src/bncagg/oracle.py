@@ -9,10 +9,10 @@ bit-identical for a given seed regardless of how the work is scheduled.
 
 Within a chunk the draws are, in order: one word per batch for its rank,
 one per frame for its header, one per packet for its survival, then in
-``gf256_matrix`` mode one 32-bit half-word per coefficient.  They read the
-same Philox words as ``Generator.random`` and ``Generator.integers(0, 256)``
-would, so the stream is the one those calls define, but they skip the
-float64 and int64 arrays:
+``gf256_matrix`` mode one byte per coefficient, two to a word.  They read
+the same Philox words as ``Generator.random`` and
+``Generator.integers(0, 256)`` would, so the stream is the one those calls
+define, but they skip the float64 and int64 arrays:
 
 * ``random()`` maps a 64-bit word w to (w >> 11) * 2^-53, so ``random() < p``
   holds exactly when w < ceil(p * 2^53) << 11 (``_word_bound``).  Header and
@@ -21,12 +21,13 @@ float64 and int64 arrays:
   its word reaches (``_draw_ranks``), which is what
   ``searchsorted(cum, random(), "right") + 1`` returns.
 * ``integers(0, 256)`` is Lemire's bounded draw on one 32-bit half-word u,
-  which for a range of 256 never rejects and returns u >> 24
-  (``_coefficients``).
+  which for a range of 256 never rejects and returns u >> 24.  Philox hands
+  out a word's low half, then its high half, so the coefficients are bytes
+  3 and 7 of consecutive raw words (``_Coefficients``).
 
-Raw words are drawn ``_BLOCK`` at a time and coefficients in pieces of at
-most ``_BLOCK`` entries, which bounds the draw buffers however many trials a
-chunk holds.  Counts and ranks use the narrowest unsigned type that holds M.
+Raw words are drawn ``_BLOCK`` at a time, which bounds the draw buffers
+however many trials a chunk holds.  Counts and ranks use the narrowest
+unsigned type that holds M.
 
 The oracles report E in the same convention as the analytical formulas: the
 per-frame rank increment conditioned on the frame's own header arriving,
@@ -64,7 +65,7 @@ RANK_COUNTING = "rank_counting"
 GF256_MATRIX = "gf256_matrix"
 
 _CHUNK = 1 << 16
-_BLOCK = 1 << 18  # raw words or coefficients drawn at once: 2 MiB of uint64
+_BLOCK = 1 << 18  # words drawn or coefficients ranked at once; 2 MiB of uint64
 _WORD_LIMIT = 1 << 64
 _MAX_ENUM_TERMS = 1 << 24
 
@@ -154,11 +155,38 @@ def _draw_ranks(rng: np.random.Generator, hbar: RankDistribution, shape) -> np.n
     return ranks
 
 
-def _coefficients(rng: np.random.Generator, shape) -> np.ndarray:
-    """``rng.integers(0, 256, shape, dtype=np.int64)`` bit for bit, as uint8."""
-    words = rng.integers(0, 1 << 32, size=shape, dtype=np.uint32)
-    words >>= 24
-    return words.astype(np.uint8)
+class _Coefficients:
+    """Successive ``rng.integers(0, 256, size, dtype=np.int64)`` draws, as uint8.
+
+    For a range of 256 that call takes u >> 24 of one 32-bit half-word u, and
+    Philox hands out the low half of a word first and keeps the high half for
+    its next 32-bit draw.  So the coefficients are bytes 3 and 7 of
+    consecutive raw words, read here ``_BLOCK`` words at a time; a draw of
+    odd size keeps the last word's byte 7 for the next draw, as Philox keeps
+    the half-word.  This holds only if ``rng`` holds no spare half-word when
+    the first draw is made: a fresh generator does not, and raw draws never
+    set one.
+    """
+
+    def __init__(self, rng: np.random.Generator) -> None:
+        self._rng = rng
+        self._spare = None
+
+    def __call__(self, size: int) -> np.ndarray:
+        out = np.empty(size, dtype=np.uint8)
+        rest = out
+        if self._spare is not None and size:
+            out[0], self._spare = self._spare, None
+            rest = out[1:]
+        for start in range(0, rest.size, 2 * _BLOCK):
+            block = rest[start : start + 2 * _BLOCK]
+            words = self._rng.bit_generator.random_raw((block.size + 1) // 2)
+            words = words.astype("<u8", copy=False).view(np.uint8).reshape(-1, 8)
+            even = block.size & ~1
+            block[:even].reshape(-1, 2)[...] = words[: even // 2, 3::4]
+            if block.size > even:
+                block[-1], self._spare = words[-1, 3::4]
+        return out
 
 
 def _chunks(seed: int, total: int, *key: int):
@@ -211,8 +239,10 @@ def _gf_increments(
     rank of a uniform j x r matrix.  Groups of equal (j, r) are ranked in
     ascending (j, r) order and row-major order within a group, so the stream
     of random draws is reproducible; a group is drawn and ranked in pieces
-    of at most ``_BLOCK`` coefficients, which keeps the stream because
-    Philox carries its spare 32-bit half-word from one call to the next.
+    of at most ``_BLOCK`` coefficients.  The coefficients are bytes 3 and 7
+    of consecutive raw words, and a piece of odd size leaves its last
+    word's byte 7 to the next piece, as Philox leaves its spare 32-bit
+    half-word to the next ``integers`` call.
     One stable sort on the key j * (M + 1) + r, computed in int64 and stored
     in the narrowest unsigned type, where numpy sorts by radix, yields every
     group.
@@ -224,6 +254,7 @@ def _gf_increments(
     sizes = np.bincount(key, minlength=groups)
     ends = np.cumsum(sizes)
     inc = np.zeros(key.size, dtype=counts.dtype)
+    coefficients = _Coefficients(rng)
     for k in np.flatnonzero(sizes):
         j, r = divmod(int(k), m + 1)
         if j == 0:
@@ -232,7 +263,8 @@ def _gf_increments(
         step = max(1, _BLOCK // (j * r))
         for start in range(0, group.size, step):
             piece = group[start : start + step]
-            inc[piece] = gf256_rank_many(_coefficients(rng, (piece.size, j, r)))
+            draw = coefficients(piece.size * j * r)
+            inc[piece] = gf256_rank_many(draw.reshape(piece.size, j, r))
     return inc.reshape(counts.shape)
 
 

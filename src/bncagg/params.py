@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 
@@ -119,6 +120,8 @@ class RankDistribution:
     def __post_init__(self) -> None:
         if len(self.masses) < 1:
             raise ParameterError("rank distribution needs at least one rank")
+        if not all(math.isfinite(m) for m in self.masses):
+            raise ParameterError("rank masses must be finite")
         if any(m < 0.0 for m in self.masses):
             raise ParameterError("rank masses must be nonnegative")
         total = sum(self.masses)
@@ -134,8 +137,10 @@ class RankDistribution:
         """Normalize ``masses`` (indexed by rank - 1) and build a distribution."""
         masses = [float(m) for m in masses]
         total = sum(masses)
-        if total <= 0.0:
-            raise ParameterError("rank masses must have positive total")
+        if not (math.isfinite(total) and total > 0.0):
+            raise ParameterError(
+                f"rank masses must have a positive finite total, got {total!r}"
+            )
         return cls(tuple(m / total for m in masses))
 
     @classmethod

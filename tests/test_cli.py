@@ -1,5 +1,6 @@
 import contextlib
 import io
+import math
 import tempfile
 from pathlib import Path
 
@@ -12,6 +13,7 @@ from bncagg import (
     ChannelParams,
     CodeParams,
     NodeStrategy,
+    RankDistribution,
     frame_efficiency,
     simulate_line_network,
 )
@@ -345,6 +347,26 @@ class TestConfigBoundary:
         assert err.startswith("error: unknown rank distribution")
         assert out == ""
 
+    @pytest.mark.parametrize("masses", ["nan,0.5,0.5,0", "inf,1,1,1", "0.5,0.5,-inf,inf"])
+    @pytest.mark.parametrize("command", ["efficiency-curve", "validate"])
+    def test_non_finite_rank_masses_are_usage_errors(self, tmp_path, capsys, command, masses):
+        # A NaN or infinite total would normalize every mass to NaN.
+        rank_dist = f"explicit:{masses}"
+        cfg = tmp_path / "scenario.ini"
+        cfg.write_text(f"[code]\nrank_dist = {rank_dist}\n")
+        for args in (["--rank-dist", rank_dist], ["--config", str(cfg)]):
+            code, out, err = run_cli([command] + args, capsys)
+            assert code == 2
+            assert err.startswith("error: rank masses must have a positive finite")
+            assert out == ""
+
+    @pytest.mark.parametrize(
+        "masses", [(math.nan, 0.5, 0.5), (0.5, 0.5, math.nan), (math.inf, 0.0)]
+    )
+    def test_rank_distribution_rejects_non_finite_masses(self, masses):
+        with pytest.raises(ParameterError, match="rank masses must be finite"):
+            RankDistribution(masses)
+
     @pytest.mark.parametrize(
         "fields",
         [
@@ -392,7 +414,10 @@ _VALUES = {
     "mtu": (["100", "1500"], ["-1", "0"]),
     "hops": (["1", "3"], ["-1", "0"]),
     "strategy": (["optimal", "largest", "fixed:1", "fixed:5"], ["fixed:0", "fixed:x", ","]),
-    "rank_dist": (["degenerate", "binomial:0.5"], ["binomial:2", "explicit:1", "uniform"]),
+    "rank_dist": (
+        ["degenerate", "binomial:0.5"],
+        ["binomial:2", "explicit:1", "explicit:nan", "explicit:inf", "uniform"],
+    ),
     "seed": (["0", "7"], ["-1"]),
     "trials": (["1", "40"], ["-1", "0"]),
     "mc": (["true", "no"], ["perhaps"]),

@@ -66,6 +66,28 @@ class TestRankKernel:
             assert got.tolist() == expect, (rows, cols)
             assert got.dtype == np.int64
 
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("rows, cols", [(16, 16), (8, 32), (32, 8), (32, 32)])
+    def test_large_shapes_match_reference(self, kind, rows, cols):
+        rng = np.random.default_rng(rows * cols + KINDS.index(kind))
+        mats = _stack(kind, rng, rows, cols, count=4)
+        expect = [gf256_rank_slow(m) for m in mats]
+        assert gf256_rank_many(mats).tolist() == expect
+
+    @pytest.mark.parametrize("rows, cols", [(2, 2), (4, 4), (3, 5), (16, 16), (32, 32)])
+    def test_whole_stack_matches_pieces(self, rows, cols):
+        # The kernel sizes its buffers and its column groups from the stack.
+        rng = np.random.default_rng(rows + cols)
+        count = max(300, (1 << 17) // (rows * cols))
+        mats = np.concatenate(
+            [_stack(kind, rng, rows, cols, count=count) for kind in KINDS[:2]]
+        )
+        whole = gf256_rank_many(mats)
+        cuts = [0, 1, 8, 100, count, 2 * count]
+        pieces = [gf256_rank_many(mats[a:b]) for a, b in zip(cuts, cuts[1:])]
+        np.testing.assert_array_equal(whole, np.concatenate(pieces))
+        assert (whole < min(rows, cols)).any()
+
     def test_low_rank_stacks_are_deficient(self):
         rng = np.random.default_rng(3)
         mats = _low_rank(rng, 40, 5, 6)

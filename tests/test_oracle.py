@@ -29,7 +29,7 @@ from bncagg.oracle import (
     RANK_COUNTING,
     HopEstimate,
     _bernoulli,
-    _coefficients,
+    _Coefficients,
     _draw_ranks,
     _word_bound,
     uniform_rank_pmf,
@@ -245,13 +245,27 @@ class TestStreamEquivalence:
         got = _draw_ranks(_GivenWords(words), hbar, words.shape)
         np.testing.assert_array_equal(got, expect)
 
-    @pytest.mark.parametrize("shape", [(3, 4, 4), (1, 1, 3), (_BLOCK // 15 + 1, 3, 5)])
+    @pytest.mark.parametrize(
+        "shape", [(3, 4, 4), (1, 1, 3), (_BLOCK // 15 + 1, 3, 5), (_BLOCK // 7 + 1, 3, 5)]
+    )
     def test_coefficients_match_int64_draw(self, shape):
-        got = _interleaved(lambda rng: _coefficients(rng, shape))
-        expect = _interleaved(lambda rng: rng.integers(0, 256, shape, dtype=np.int64))
-        assert got[1].dtype == np.uint8
-        for a, b in zip(got, expect):
-            np.testing.assert_array_equal(a, b)
+        # A chunk draws its coefficients after raw words, in pieces whose
+        # sizes may be odd; a draw above 2 * _BLOCK spans several word blocks.
+        total = math.prod(shape)
+        sizes = [1, 2, 5, _BLOCK + 1, 4, 2 * _BLOCK + 3]
+        pieces = []
+        while sum(pieces) < total:
+            pieces.append(min(sizes[len(pieces) % len(sizes)], total - sum(pieces)))
+        rng = np.random.Generator(np.random.Philox(SEED))
+        rng.random(3)
+        expect = rng.integers(0, 256, total, dtype=np.int64)
+        for split in ([total], pieces):
+            rng = np.random.Generator(np.random.Philox(SEED))
+            _bernoulli(rng, 0.5, (3,))
+            draw = _Coefficients(rng)
+            got = np.concatenate([draw(size) for size in split])
+            assert got.dtype == np.uint8
+            np.testing.assert_array_equal(got, expect)
 
     def test_gf256_at_m16_pinned(self):
         # Pinned from the int64 draws: with uint8 counts the group key
