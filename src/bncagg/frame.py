@@ -43,6 +43,8 @@ from .probability import (
 # 23 KiB at M = 32, K = 64, so a full cache stays under 3 MiB there.  A 10-hop
 # line network at one loss rate reads one table; the README figures, a handful.
 _PMF_CACHE_SIZE = 128
+# One (M + 1) x M integer matrix per batch size, 33 KiB at M = 64.
+_MIN_CACHE_SIZE = 32
 
 
 @dataclass(frozen=True)
@@ -187,17 +189,28 @@ def _increments(ctx: AggregationContext, n: int) -> np.ndarray:
 
 def _expected_min_table(ctx: AggregationContext) -> np.ndarray:
     """e[j] = E_r[min(j, r)] under the context's rank distribution, j = 0..M."""
-    m = ctx.code.batch_size
+    return _min_matrix(ctx.code.batch_size) @ np.asarray(ctx.rank_dist.masses)
+
+
+@functools.lru_cache(maxsize=_MIN_CACHE_SIZE)
+def _min_matrix(m: int) -> np.ndarray:
+    """mins[j, r - 1] = min(j, r) for j = 0..M, r = 1..M; read-only."""
     mins = np.minimum.outer(np.arange(m + 1), np.arange(1, m + 1))
-    return mins @ np.asarray(ctx.rank_dist.masses)
+    mins.flags.writeable = False
+    return mins
 
 
 def _table(ctx: AggregationContext, n: int) -> np.ndarray:
     """The context's reception table, with rows for N = 1..max(n, n_max)."""
+    return _reception_table(*_table_key(ctx, n))
+
+
+def _table_key(ctx: AggregationContext, n: int) -> tuple[int, int, float, float]:
+    """(M, rows, f, d) of the cached reception table that holds pi_N."""
     if not (isinstance(n, int) and n >= 1):
         raise ParameterError(f"aggregation count must be >= 1, got {n!r}")
     rows = max(n, _capacity(ctx.channel, ctx.code))
-    return _reception_table(ctx.code.batch_size, rows, ctx.f, ctx.d)
+    return ctx.code.batch_size, rows, ctx.f, ctx.d
 
 
 @functools.lru_cache(maxsize=_PMF_CACHE_SIZE)

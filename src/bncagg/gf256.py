@@ -12,8 +12,9 @@ along the stack.  For each column the first nonzero row is the pivot.  Its
 one-hot mask reads the pivot and the pivot row, whose trailing entries are
 scaled by the pivot's inverse, and each trailing column of every row is
 then cleared with one product-table lookup.  A single row or column
-short-circuits to "any nonzero entry".  About four million uniform 4x4
-matrices are ranked per second on one core this way.  The layout suits
+short-circuits to "any nonzero entry".  About 6.5 million uniform 4x4
+matrices are ranked per second on one core this way (a stack of 16 384,
+median of 21 calls, on a 2-core Xeon with numpy 2.4).  The layout suits
 stacks of many small matrices; a stack of a few matrices with hundreds of
 rows spends its time in numpy calls on short runs.
 """

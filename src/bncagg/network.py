@@ -7,10 +7,17 @@ hop is the (M + 1) x (M + 1) transition matrix built from pi_N, row N - 1
 of the model's cached reception table.  Batches that fall to rank 0 stay in the
 pipeline (they still cost bytes); their mass is tracked in a separate bucket
 and the per-hop efficiency is scaled by the probability of rank >= 1.
+
+Each hop runs one ``optimize_n`` scan under its incoming rank distribution:
+the strategy picks N from the scan's profile and the hop records the
+profile's entry for that N.  The transition depends on the rank
+distribution only through N, so it is cached read-only per reception table
+and N, and built the first time a hop asks for it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -18,12 +25,18 @@ import numpy as np
 
 from .frame import (
     AggregationContext,
-    frame_efficiency,
+    EfficiencyProfile,
+    _reception_table,
+    _table_key,
     lineage_reception_pmf,
-    max_feasible_n,
     optimize_n,
 )
 from .params import InfeasibleError, ParameterError, RankDistribution
+
+# Bound on the cached hop transitions.  One holds (M + 1)^2 floats, 8.5 KiB
+# at M = 32, so a full cache stays near 1 MiB there.  A line network reads
+# one per distinct N it picks.
+_TRANSITION_CACHE_SIZE = 128
 
 OPTIMAL = "optimal"
 LARGEST = "largest"
@@ -57,12 +70,13 @@ class NodeStrategy:
     def fixed(cls, n: int) -> "NodeStrategy":
         return cls(FIXED, n)
 
-    def select(self, ctx: AggregationContext) -> int:
+    def select(self, profile: EfficiencyProfile) -> int:
+        """N for a node whose ``optimize_n`` scan gave ``profile``."""
         if self.kind == OPTIMAL:
-            return optimize_n(ctx)[0]
+            return profile.best_n
         if self.kind == LARGEST:
-            return max_feasible_n(ctx.channel, ctx.code)
-        if self.n > max_feasible_n(ctx.channel, ctx.code):
+            return profile.n_max
+        if self.n > profile.n_max:
             raise InfeasibleError(f"fixed N={self.n} is not feasible")
         return self.n
 
@@ -116,10 +130,13 @@ def simulate_line_network(
     records = []
     for hop in range(1, hops + 1):
         delivered = float(full[1:].sum())
+        if delivered == 0.0:  # every batch fell to rank 0, or its mass underflowed
+            raise ParameterError(f"population extinct before hop {hop}")
         cond = RankDistribution.from_masses(full[1:])
         local = ctx.with_rank_dist(cond)
-        n = strategy.select(local)
-        eff = delivered * frame_efficiency(n, local)
+        profile = optimize_n(local)[1]
+        n = strategy.select(profile)
+        eff = delivered * profile.value(n)
         records.append(
             HopRecord(
                 hop=hop, n=n, rank_dist=cond, delivered=delivered, efficiency=eff
@@ -130,11 +147,20 @@ def simulate_line_network(
 
 
 def _transition_matrix(n: int, ctx: AggregationContext) -> np.ndarray:
-    """T[r, k] = P(next-hop rank k | rank r): pi_N[k] below r, its tail at r."""
-    pmf = lineage_reception_pmf(n, ctx)
+    """T[r, k] = P(next-hop rank k | rank r): pi_N[k] below r, its tail at r.
+
+    Shared by every hop with the same reception table and N: read-only.
+    """
+    return _transition(*_table_key(ctx, n), n)
+
+
+@functools.lru_cache(maxsize=_TRANSITION_CACHE_SIZE)
+def _transition(m: int, rows: int, f: float, d: float, n: int) -> np.ndarray:
+    pmf = _reception_table(m, rows, f, d)[n - 1]
     tails = np.cumsum(pmf[::-1])[::-1]
     t = np.tril(np.tile(pmf, (pmf.size, 1)), k=-1)
     np.fill_diagonal(t, tails)
+    t.flags.writeable = False
     return t
 
 

@@ -55,7 +55,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .frame import AggregationContext, frame_size
+from .frame import AggregationContext, frame_size, optimize_n
 from .gf256 import gf256_rank_many
 from .network import NodeStrategy
 from .params import EnumerationSizeError, ParameterError, RankDistribution
@@ -415,7 +415,7 @@ def simulate_end_to_end(
             raise ParameterError(f"population extinct before hop {hop}")
         hist = np.bincount(positive, minlength=m + 1)[1 : m + 1]
         local = ctx.with_rank_dist(RankDistribution.from_masses(hist))
-        n = strategy.select(local)
+        n = strategy.select(optimize_n(local)[1])
         period = math.lcm(m, n)
         per_period = period // m
         frames = period // n

@@ -2,7 +2,9 @@
 
 Everything here enumerates reception outcomes bit by bit, or does GF(256)
 arithmetic by shift and add, and shares no code with the implementation it
-checks.
+checks.  The one exception is ``line_network_reference``, which rebuilds a
+line network hop by hop from the model's public entry points, without the
+hop caches, so that the cached hop loop can be held to it float for float.
 """
 
 from __future__ import annotations
@@ -11,7 +13,19 @@ import dataclasses
 import itertools
 import math
 
-from bncagg import AggregationContext, ChannelParams, CodeParams, RankDistribution
+import numpy as np
+
+from bncagg import (
+    AggregationContext,
+    ChannelParams,
+    CodeParams,
+    RankDistribution,
+    frame_efficiency,
+    max_feasible_n,
+    optimize_n,
+)
+from bncagg.frame import lineage_reception_pmf
+from bncagg.network import HopRecord
 
 
 def make_ctx(
@@ -129,6 +143,39 @@ def reception_pmf_bruteforce(r: int, n: int, ctx) -> list[float]:
         ):
             pmf[min(sum(counts), r)] += prob / lineage_count
     return pmf
+
+
+def line_network_reference(hops: int, strategy, ctx) -> list:
+    """Hop records of a line network, rebuilt per hop with no cached state.
+
+    Each hop picks N from the context as the strategy kinds define it, asks
+    ``frame_efficiency`` for its efficiency in a call of its own, and builds
+    the transition afresh from pi_N: pi_N[k] below the diagonal of row r,
+    the tail sum of pi_N on it.
+    """
+    m = ctx.code.batch_size
+    full = np.zeros(m + 1)
+    full[m] = 1.0
+    records = []
+    for hop in range(1, hops + 1):
+        delivered = float(full[1:].sum())
+        cond = RankDistribution.from_masses(full[1:])
+        local = ctx.with_rank_dist(cond)
+        if strategy.kind == "optimal":
+            n = optimize_n(local)[0]
+        elif strategy.kind == "largest":
+            n = max_feasible_n(local.channel, local.code)
+        else:
+            n = strategy.n
+        eff = delivered * frame_efficiency(n, local)
+        records.append(HopRecord(hop, n, cond, delivered, eff))
+        pmf = lineage_reception_pmf(n, local)
+        tails = np.cumsum(pmf[::-1])[::-1]
+        t = np.tril(np.tile(pmf, (pmf.size, 1)), k=-1)
+        np.fill_diagonal(t, tails)
+        out = full @ t
+        full = out / out.sum()
+    return records
 
 
 def rank_mod_p(rows, p: int) -> int:

@@ -1,6 +1,9 @@
 import contextlib
 import io
 import math
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -321,6 +324,19 @@ class TestConfigBoundary:
         assert err.startswith(f"error: {message}")
         assert out == ""
 
+    @pytest.mark.parametrize(
+        "extra,hop", [([], 36), (["--mc", "--trials", "200"], 2)], ids=["exact", "mc"]
+    )
+    def test_extinct_population_is_usage_error(self, capsys, extra, hop):
+        # At this PLR the delivered mass of the exact evolution underflows to
+        # 0 at hop 36; the simulator's 200 periods die out at hop 1.
+        args = ["throughput", "--plr", "0.9999999999", "--hops", "40",
+                "--strategy", "optimal"]
+        code, out, err = run_cli(args + extra, capsys)
+        assert code == 2
+        assert err == f"error: population extinct before hop {hop}\n"
+        assert out == ""
+
     def test_empty_ini_strategy_list_is_usage_error(self, tmp_path, capsys):
         cfg = tmp_path / "scenario.ini"
         cfg.write_text("[run]\nstrategy = ,\n")
@@ -472,3 +488,18 @@ class TestFuzzedArguments:
                     code = exc.code
         assert code in (0, 1, 2), (argv, ini, err.getvalue())
         assert "Traceback" not in out.getvalue() + err.getvalue()
+
+
+def test_python_dash_m_runs_the_cli(tmp_path, capsys):
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(src)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    args = ["efficiency-curve", "--plr", "0.1"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "bncagg", *args],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == run_cli(args, capsys)[1]

@@ -12,10 +12,13 @@ from bncagg import (
     aggregate_reception_pmf,
     frame_efficiency,
     max_feasible_n,
+    optimize_n,
     simulate_line_network,
 )
+from bncagg import frame, network
 from bncagg.network import _evolve_full, _transition_matrix
-from helpers import make_ctx, reception_pmf_bruteforce
+from bncagg.scenario import ScenarioConfig
+from helpers import line_network_reference, make_ctx, reception_pmf_bruteforce
 
 CH = ChannelParams(baseline_plr=0.20)
 CODE = CodeParams(batch_size=4, payload=256, bnc_header=6, integrity=2)
@@ -35,17 +38,24 @@ class TestNodeStrategy:
         with pytest.raises(ParameterError):
             NodeStrategy("greedy")
 
+    def test_optimal_picks_best(self):
+        best, profile = optimize_n(AggregationContext.build(CH, CODE))
+        assert NodeStrategy.optimal().select(profile) == best == profile.best_n
+
     def test_largest_picks_bound(self):
         ctx = AggregationContext.build(CH, CODE)
-        assert NodeStrategy.largest().select(ctx) == max_feasible_n(
+        assert NodeStrategy.largest().select(optimize_n(ctx)[1]) == max_feasible_n(
             ctx.channel, ctx.code
         )
 
     def test_fixed_must_be_feasible(self):
-        ctx = AggregationContext.build(CH, CODE)
-        assert NodeStrategy.fixed(7).select(ctx) == 7
+        profile = optimize_n(AggregationContext.build(CH, CODE))[1]
+        assert NodeStrategy.fixed(7).select(profile) == 7
+        assert NodeStrategy.fixed(profile.n_max).select(profile) == profile.n_max
         with pytest.raises(InfeasibleError):
-            NodeStrategy.fixed(99).select(ctx)
+            NodeStrategy.fixed(99).select(profile)
+        with pytest.raises(InfeasibleError):
+            NodeStrategy.fixed(profile.n_max + 1).select(profile)
 
 
 class TestReceptionPmf:
@@ -159,3 +169,75 @@ class TestLineNetwork:
         ctx = AggregationContext.build(CH, CODE)
         with pytest.raises(ParameterError):
             simulate_line_network(0, NodeStrategy.optimal(), ctx)
+
+
+STRATEGIES = (
+    NodeStrategy.optimal(),
+    NodeStrategy.largest(),
+    NodeStrategy.fixed(1),
+    NodeStrategy.fixed(3),
+)
+
+
+class TestHopRecordsUnchanged:
+    """Every hop record equals the per-hop rebuild, float for float."""
+
+    @pytest.mark.parametrize("mode", ["checksum", "fec"])
+    @pytest.mark.parametrize("m, payload", [(4, 256), (16, 256), (32, 1024)])
+    def test_records_equal_reference(self, m, payload, mode):
+        ctx = ScenarioConfig(batch_size=m, payload=payload).context(0.2, mode)
+        for strategy in STRATEGIES:
+            trace = simulate_line_network(10, strategy, ctx)
+            expected = line_network_reference(10, strategy, ctx)
+            assert len(trace.records) == len(expected) == 10
+            for got, ref in zip(trace.records, expected):
+                assert got.n == ref.n
+                assert got.delivered == ref.delivered
+                assert got.efficiency == ref.efficiency
+                assert got.rank_dist.masses == ref.rank_dist.masses
+                assert got == ref
+
+
+class TestHopCaches:
+    """One scan per hop; each transition is built once and shared."""
+
+    @staticmethod
+    def fresh_ctx(f):
+        # An f no other test uses, so every cache entry it touches is new.
+        return make_ctx(16, f=f, d=0.93, payload=256)
+
+    def test_one_scan_per_hop(self, monkeypatch):
+        calls = []
+
+        def counted(ctx):
+            calls.append(ctx.rank_dist)
+            return real(ctx)
+
+        real = frame.optimize_n
+        monkeypatch.setattr(frame, "optimize_n", counted)
+        monkeypatch.setattr(network, "optimize_n", counted)
+        trace = simulate_line_network(10, NodeStrategy.optimal(), self.fresh_ctx(0.61803))
+        assert len(calls) == 10
+        assert calls == [rec.rank_dist for rec in trace.records]
+
+    def test_cache_misses(self):
+        tables = frame._reception_table.cache_info().misses
+        transitions = network._transition.cache_info().misses
+        trace = simulate_line_network(10, NodeStrategy.optimal(), self.fresh_ctx(0.61804))
+        distinct = {rec.n for rec in trace.records}
+        assert frame._reception_table.cache_info().misses == tables + 1
+        assert network._transition.cache_info().misses == transitions + len(distinct)
+
+    def test_scan_builds_no_transition(self):
+        before = network._transition.cache_info()
+        optimize_n(self.fresh_ctx(0.61805))
+        after = network._transition.cache_info()
+        assert (after.misses, after.currsize) == (before.misses, before.currsize)
+
+    def test_cached_transition_is_read_only(self):
+        ctx = make_ctx(4, f=0.6, d=0.8)
+        t = _transition_matrix(3, ctx)
+        assert t is _transition_matrix(3, ctx)
+        assert not t.flags.writeable
+        with pytest.raises(ValueError):
+            t[0, 0] = 1.0
