@@ -10,9 +10,12 @@ efficiency is d * K * E / S(N).
 
 pi_N depends on (M, N, f, d) but not on the rank distribution, so one
 read-only table per (M, n_max, f, d) is cached, row N - 1 holding pi_N (and
-built past n_max when a larger N is asked for).  E for every N is one
-product with it, a scan is one argmax, and every hop of a line network at
-the same loss rate reads it.  The paper's phase-average terms (beta, gamma,
+built past n_max when a larger N is asked for).  Beside it, one read-only
+scan plan per table and frame layout (S(1) and the packet size) holds the
+table, the factors N / M and the frame sizes S(N).  E for every N is one
+product of the plan's table with e, a scan is one argmax, and every hop of a
+line network at the same loss rate reads the same plan, so a warm scan pays
+only for its arithmetic.  The paper's phase-average terms (beta, gamma,
 omega) compute the same E frame by frame; they live in ``reference`` and
 the tests hold this module to them.
 """
@@ -20,7 +23,8 @@ the tests hold this module to them.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -43,7 +47,7 @@ from .probability import (
 # 23 KiB at M = 32, K = 64, so a full cache stays under 3 MiB there.  A 10-hop
 # line network at one loss rate reads one table; the README figures, a handful.
 _PMF_CACHE_SIZE = 128
-# One (M + 1) x M integer matrix per batch size, 33 KiB at M = 64.
+# One (M + 1) x M float matrix per batch size, 33 KiB at M = 64.
 _MIN_CACHE_SIZE = 32
 
 
@@ -89,7 +93,9 @@ class AggregationContext:
         )
 
     def with_rank_dist(self, rank_dist: RankDistribution) -> "AggregationContext":
-        return replace(self, rank_dist=rank_dist)
+        return AggregationContext(
+            self.channel, self.code, rank_dist, self.p, self.d, self.f
+        )
 
 
 @dataclass(frozen=True)
@@ -139,7 +145,7 @@ def expected_rank_increment(n: int, ctx: AggregationContext) -> float:
     """
     if ctx.d <= 0.0:
         raise ParameterError("header survival is zero; E is undefined")
-    return float(_increments(ctx, n)[n - 1])
+    return float(_increments(ctx, _plan(ctx, n))[n - 1])
 
 
 def lineage_reception_pmf(n: int, ctx: AggregationContext) -> np.ndarray:
@@ -168,10 +174,9 @@ def optimize_n(ctx: AggregationContext) -> tuple[int, EfficiencyProfile]:
     if ctx.d <= 0.0:
         values = np.zeros(n_max)  # no header arrives, so no payload byte is useful
     else:
-        step = ctx.code.packet_size
-        sizes = frame_size(1, ctx.channel, ctx.code) + np.arange(n_max) * step
-        values = ctx.d * ctx.code.payload * _increments(ctx, n_max) / sizes
-    best = int(np.argmax(values)) + 1
+        plan = _plan(ctx, n_max)
+        values = ctx.d * ctx.code.payload * _increments(ctx, plan) / plan.sizes
+    best = int(values.argmax()) + 1
     return best, EfficiencyProfile(n_max, tuple(values.tolist()), best)
 
 
@@ -180,11 +185,9 @@ def _capacity(channel: ChannelParams, code: CodeParams) -> int:
     return (channel.max_payload - channel.proto_header) // code.packet_size
 
 
-def _increments(ctx: AggregationContext, n: int) -> np.ndarray:
-    """E for N = 1..max(n, n_max): one product of the table with e."""
-    table = _table(ctx, n)
-    ns = np.arange(1, len(table) + 1)
-    return ns / ctx.code.batch_size * (table @ _expected_min_table(ctx)) / ctx.d
+def _increments(ctx: AggregationContext, plan: _ScanPlan) -> np.ndarray:
+    """E for every row of the plan: one product of its table with e."""
+    return plan.scale * (plan.table @ _expected_min_table(ctx)) / ctx.d
 
 
 def _expected_min_table(ctx: AggregationContext) -> np.ndarray:
@@ -194,8 +197,11 @@ def _expected_min_table(ctx: AggregationContext) -> np.ndarray:
 
 @functools.lru_cache(maxsize=_MIN_CACHE_SIZE)
 def _min_matrix(m: int) -> np.ndarray:
-    """mins[j, r - 1] = min(j, r) for j = 0..M, r = 1..M; read-only."""
-    mins = np.minimum.outer(np.arange(m + 1), np.arange(1, m + 1))
+    """mins[j, r - 1] = min(j, r) for j = 0..M, r = 1..M; read-only.
+
+    Held as floats, so the product with the masses casts nothing per call.
+    """
+    mins = np.minimum.outer(np.arange(m + 1.0), np.arange(1.0, m + 1))
     mins.flags.writeable = False
     return mins
 
@@ -203,6 +209,30 @@ def _min_matrix(m: int) -> np.ndarray:
 def _table(ctx: AggregationContext, n: int) -> np.ndarray:
     """The context's reception table, with rows for N = 1..max(n, n_max)."""
     return _reception_table(*_table_key(ctx, n))
+
+
+class _ScanPlan(NamedTuple):
+    """What a scan reads besides the rank distribution; arrays are read-only."""
+
+    table: np.ndarray  # the reception table, row N - 1 holding pi_N
+    scale: np.ndarray  # N / M for each row
+    sizes: np.ndarray  # frame size S(N) in bytes for each row
+
+
+def _plan(ctx: AggregationContext, n: int) -> _ScanPlan:
+    """The context's scan plan, with rows for N = 1..max(n, n_max)."""
+    s1 = frame_size(1, ctx.channel, ctx.code)
+    return _scan_plan(*_table_key(ctx, n), s1, ctx.code.packet_size)
+
+
+@functools.lru_cache(maxsize=_PMF_CACHE_SIZE)
+def _scan_plan(
+    m: int, rows: int, f: float, d: float, s1: int, step: int
+) -> _ScanPlan:
+    scale = np.arange(1, rows + 1) / m
+    sizes = s1 + np.arange(rows) * step
+    scale.flags.writeable = sizes.flags.writeable = False
+    return _ScanPlan(_reception_table(m, rows, f, d), scale, sizes)
 
 
 def _table_key(ctx: AggregationContext, n: int) -> tuple[int, int, float, float]:

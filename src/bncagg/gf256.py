@@ -9,14 +9,16 @@ Rank reduction runs over a whole stack of matrices at once, with no row
 swaps and no per-matrix branching, on a uint8 copy transposed so that
 rows <= cols and laid out (cols, rows, count): every elementwise step runs
 along the stack.  For each column the first nonzero row is the pivot.  Its
-one-hot mask reads the pivot and the pivot row, whose trailing entries are
-scaled by the pivot's inverse, and each trailing column of every row is
-then cleared with one product-table lookup.  A single row or column
-short-circuits to "any nonzero entry".  About 6.5 million uniform 4x4
-matrices are ranked per second on one core this way (a stack of 16 384,
-median of 21 calls, on a 2-core Xeon with numpy 2.4).  The layout suits
-stacks of many small matrices; a stack of a few matrices with hundreds of
-rows spends its time in numpy calls on short runs.
+one-hot mask reads the pivot and the pivot row, or a gather along the stack
+does when the stack holds fewer than 256 matrices or rows > 32.  The pivot
+row's trailing entries are scaled by the pivot's inverse, and each trailing
+column of every row is then cleared with one product-table lookup.  A
+single row or column short-circuits to "any nonzero entry".  About 6.5
+million uniform 4x4 matrices are ranked per second on one core this way (a
+stack of 16 384, median of 21 calls, on a 2-core Xeon with numpy 2.4).  The
+layout suits stacks of many small matrices; a stack of a few matrices with
+hundreds of rows still spends much of its time clearing columns in numpy
+calls on short runs.
 """
 
 from __future__ import annotations
@@ -114,6 +116,12 @@ def gf256_rank_many(matrices: np.ndarray) -> np.ndarray:
     group = max(1, (1 << 15) // (rows * count))
     index = np.empty((group, rows, count), dtype=np.intp)
     product = np.empty((group, rows, count), dtype=np.uint8)
+    # A stack of few matrices, or of matrices with many rows, reads the
+    # pivot row with one gather along the stack: a masked reduction over
+    # rows would run numpy inner loops only `count` long.  A stack of many
+    # small matrices keeps the masked reduction, which wins there.
+    gather = count < 256 or rows > 32
+    stack = np.arange(count) if gather else None
     for col in range(cols):
         # A row that was a pivot is zero in every later column (see below),
         # so the first nonzero entry of the column is the first unused one.
@@ -123,16 +131,23 @@ def gf256_rank_many(matrices: np.ndarray) -> np.ndarray:
         rank += top != 0
         if col + 1 == cols or rank.min() == rows:
             break
-        # Read the pivot and the pivot row's trailing entries under the
-        # pivot's one-hot mask, and scale those entries by the pivot's
-        # inverse.  Then subtract column col's multiple of that row from
-        # every row, the pivot row included, which clears it.  A matrix
-        # without a pivot here has a zero column: its mask selects every row
-        # and its pivot reads 0, whose inverse is 0, so nothing changes.
-        mask = (key == top).view(np.uint8) * np.uint8(0xFF)
-        pivot = np.bitwise_or.reduce(column & mask, axis=0)
+        # Read the pivot and the pivot row's trailing entries, by a gather or
+        # under the pivot's one-hot mask, and scale those entries by the
+        # pivot's inverse.  Then subtract column col's multiple of that row
+        # from every row, the pivot row included, which clears it.  A matrix
+        # without a pivot here has a zero column: its pivot reads 0, whose
+        # inverse is 0, so nothing changes.
         trailing = a[col + 1 :]
-        scaled = np.bitwise_or.reduce(trailing & mask, axis=1).astype(np.intp)
+        if gather:
+            # Row rows - top holds the pivot.  A zero column (top = 0) reads
+            # row 0, which is zero there too.
+            pivot_row = (rows - top.astype(np.intp)) % rows
+            pivot = column[pivot_row, stack]
+            scaled = trailing[:, pivot_row, stack].astype(np.intp)
+        else:
+            mask = (key == top).view(np.uint8) * np.uint8(0xFF)
+            pivot = np.bitwise_or.reduce(column & mask, axis=0)
+            scaled = np.bitwise_or.reduce(trailing & mask, axis=1).astype(np.intp)
         scaled |= GF_INV.take(pivot) << 8
         # Every index lies in the 64 KiB table; mode="clip" only skips the
         # bounds check that raising would need.

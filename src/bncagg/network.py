@@ -10,9 +10,12 @@ and the per-hop efficiency is scaled by the probability of rank >= 1.
 
 Each hop runs one ``optimize_n`` scan under its incoming rank distribution:
 the strategy picks N from the scan's profile and the hop records the
-profile's entry for that N.  The transition depends on the rank
-distribution only through N, so it is cached read-only per reception table
-and N, and built the first time a hop asks for it.
+profile's entry for that N.  The scan reads the model's cached scan plan
+(the reception table, N / M and the frame sizes S(N)), so a warm hop pays
+for the product with its own rank distribution and little else.  The
+transition depends on the rank distribution only through N, so it is cached
+read-only per reception table and N, and built the first time a hop asks
+for it.
 """
 
 from __future__ import annotations

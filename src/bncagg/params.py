@@ -5,6 +5,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 
 class ParameterError(ValueError):
     """A parameter or argument is outside its domain."""
@@ -118,13 +120,16 @@ class RankDistribution:
     masses: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        if len(self.masses) < 1:
+        masses = self.masses
+        if len(masses) < 1:
             raise ParameterError("rank distribution needs at least one rank")
-        if not all(math.isfinite(m) for m in self.masses):
+        # A NaN or infinite mass makes the sum non-finite; only then are the
+        # masses read one by one, to tell it from finite masses that overflow.
+        total = sum(masses)
+        if not math.isfinite(total) and not all(map(math.isfinite, masses)):
             raise ParameterError("rank masses must be finite")
-        if any(m < 0.0 for m in self.masses):
+        if min(masses) < 0.0:
             raise ParameterError("rank masses must be nonnegative")
-        total = sum(self.masses)
         if abs(total - 1.0) > _NORM_TOL:
             raise ParameterError(f"rank masses must sum to 1, got {total!r}")
 
@@ -134,14 +139,24 @@ class RankDistribution:
 
     @classmethod
     def from_masses(cls, masses) -> "RankDistribution":
-        """Normalize ``masses`` (indexed by rank - 1) and build a distribution."""
-        masses = [float(m) for m in masses]
-        total = sum(masses)
+        """Normalize ``masses`` (indexed by rank - 1) and build a distribution.
+
+        Finite masses whose sum overflows are first divided by the largest.
+        """
+        masses = np.asarray(masses, dtype=np.float64)
+        if masses.ndim != 1:
+            raise ParameterError(
+                f"rank masses must form a 1-d sequence, got shape {masses.shape}"
+            )
+        total = sum(masses.tolist())
+        if total == math.inf and np.isfinite(masses).all():
+            masses = masses / masses.max()
+            total = sum(masses.tolist())
         if not (math.isfinite(total) and total > 0.0):
             raise ParameterError(
                 f"rank masses must have a positive finite total, got {total!r}"
             )
-        return cls(tuple(m / total for m in masses))
+        return cls(tuple((masses / total).tolist()))
 
     @classmethod
     def degenerate(cls, batch_size: int, rank: int | None = None) -> "RankDistribution":

@@ -2,14 +2,17 @@
 
 Everything here enumerates reception outcomes bit by bit, or does GF(256)
 arithmetic by shift and add, and shares no code with the implementation it
-checks.  The one exception is ``line_network_reference``, which rebuilds a
+checks.  The exceptions are ``line_network_reference``, which rebuilds a
 line network hop by hop from the model's public entry points, without the
-hop caches, so that the cached hop loop can be held to it float for float.
+hop caches, and ``scan_reference``, which evaluates the scan formula inline
+from pi_N, so that the cached hop loop and the cached scan plan can be held
+to them float for float.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
 import math
 
@@ -19,8 +22,10 @@ from bncagg import (
     AggregationContext,
     ChannelParams,
     CodeParams,
+    EfficiencyProfile,
     RankDistribution,
     frame_efficiency,
+    frame_size,
     max_feasible_n,
     optimize_n,
 )
@@ -178,6 +183,26 @@ def line_network_reference(hops: int, strategy, ctx) -> list:
     return records
 
 
+def scan_reference(ctx) -> tuple:
+    """``optimize_n`` evaluated inline, with no cached plan or min matrix.
+
+    E(N) = (N / M) * (pi_N . e) / d with e[j] = sum_r hbar_r * min(j, r), and
+    efficiency d * K * E(N) / S(N), in that order of float operations.
+    """
+    m = ctx.code.batch_size
+    n_max = max_feasible_n(ctx.channel, ctx.code)
+    table = np.array([lineage_reception_pmf(n, ctx) for n in range(1, n_max + 1)])
+    mins = np.minimum.outer(np.arange(m + 1), np.arange(1, m + 1))
+    e = mins @ np.asarray(ctx.rank_dist.masses)
+    ns = np.arange(1, n_max + 1)
+    increments = ns / m * (table @ e) / ctx.d
+    step = ctx.code.packet_size
+    sizes = frame_size(1, ctx.channel, ctx.code) + np.arange(n_max) * step
+    values = ctx.d * ctx.code.payload * increments / sizes
+    best = int(np.argmax(values)) + 1
+    return best, EfficiencyProfile(n_max, tuple(values.tolist()), best)
+
+
 def rank_mod_p(rows, p: int) -> int:
     """Rank of an integer matrix over the prime field GF(p), by elimination."""
     rows = [[x % p for x in row] for row in rows]
@@ -245,4 +270,38 @@ def gf256_rank_slow(rows) -> int:
                 factor = gf256_mul_slow(rows[i][c], inv)
                 rows[i] = [x ^ gf256_mul_slow(factor, y) for x, y in zip(rows[i], rows[rank])]
         rank += 1
+    return rank
+
+
+@functools.cache
+def gf256_mul_table_slow() -> np.ndarray:
+    """mul[x, y] = x * y in GF(256) for every pair, by shift and add."""
+    return np.array(
+        [[gf256_mul_slow(x, y) for y in range(256)] for x in range(256)],
+        dtype=np.uint8,
+    )
+
+
+def gf256_rank_rows(matrix) -> int:
+    """Rank over GF(256) by Gaussian elimination with row swaps.
+
+    Textbook elimination like ``gf256_rank_slow``, but each row operation
+    covers a whole row at once through the shift-and-add product table, so
+    that matrices with hundreds of rows take milliseconds.
+    """
+    mul = gf256_mul_table_slow()
+    rows = np.array(matrix, dtype=np.uint8)
+    rank = 0
+    for c in range(rows.shape[1]):
+        nonzero = np.flatnonzero(rows[rank:, c])
+        if nonzero.size == 0:
+            continue
+        pivot = rank + int(nonzero[0])
+        rows[[rank, pivot]] = rows[[pivot, rank]]
+        unit_row = mul[gf256_inv_slow(int(rows[rank, c]))][rows[rank]]
+        below = rows[rank + 1 :]
+        below ^= mul[below[:, c][:, None], unit_row[None, :]]
+        rank += 1
+        if rank == rows.shape[0]:
+            break
     return rank

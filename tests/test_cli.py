@@ -376,6 +376,24 @@ class TestConfigBoundary:
             assert err.startswith("error: rank masses must have a positive finite")
             assert out == ""
 
+    def test_finite_masses_with_an_overflowing_sum_normalize(self, capsys):
+        # Each mass is finite; only their plain sum overflows.
+        code, out, err = run_cli(
+            ["efficiency-curve", "--rank-dist", "explicit:1e308,1e308,0,0"], capsys
+        )
+        assert (code, err) == (0, "")
+        halves = run_cli(
+            ["efficiency-curve", "--rank-dist", "explicit:0.5,0.5,0,0"], capsys
+        )
+        assert out == halves[1]
+        for masses in ("inf,1,1,1", "nan,0.5,0.5,0"):
+            code, out, err = run_cli(
+                ["efficiency-curve", "--rank-dist", f"explicit:{masses}"], capsys
+            )
+            assert code == 2
+            assert err.startswith("error: rank masses must have a positive finite")
+            assert out == ""
+
     @pytest.mark.parametrize(
         "masses", [(math.nan, 0.5, 0.5), (0.5, 0.5, math.nan), (math.inf, 0.0)]
     )

@@ -27,10 +27,16 @@ from bncagg import (
     optimize_n,
     simulate_line_network,
 )
-from bncagg import frame
+from bncagg import frame, network
 from bncagg.frame import lineage_reception_pmf
 from bncagg.reference import phase_average_increment
-from helpers import expected_increment, make_ctx, period_expected_increment
+from bncagg.scenario import ScenarioConfig
+from helpers import (
+    expected_increment,
+    make_ctx,
+    period_expected_increment,
+    scan_reference,
+)
 
 CH = ChannelParams(baseline_plr=0.10)
 CODE = CodeParams(batch_size=4, payload=256, bnc_header=6, integrity=2)
@@ -367,6 +373,55 @@ class TestReceptionTable:
             for n in (0, -1, 2.0):
                 with pytest.raises(ParameterError):
                     fn(n, ctx)
+
+
+class TestScanPlan:
+    """One cached, read-only scan plan per reception table and frame layout."""
+
+    def test_plan_arrays_are_read_only(self):
+        ctx = make_ctx(4, f=0.6, d=0.8)
+        n_max = max_feasible_n(ctx.channel, ctx.code)
+        plan = frame._plan(ctx, n_max)
+        assert plan is frame._plan(ctx, n_max)
+        assert plan.table is frame._reception_table(*frame._table_key(ctx, n_max))
+        for array in plan:
+            assert len(array) == n_max
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 1.0
+
+    def test_plan_holds_scale_and_frame_sizes(self):
+        ctx = make_ctx(16, f=0.7, d=0.9, payload=256)
+        n_max = max_feasible_n(ctx.channel, ctx.code)
+        plan = frame._plan(ctx, n_max)
+        for n in range(1, n_max + 1):
+            assert plan.scale[n - 1] == n / 16
+            assert plan.sizes[n - 1] == frame_size(n, ctx.channel, ctx.code)
+
+    def test_repeated_line_network_misses_no_cache(self):
+        # A loss rate no other test uses, so the first run fills the caches.
+        ctx = ScenarioConfig(batch_size=16, payload=256).context(0.1837, "checksum")
+        simulate_line_network(10, NodeStrategy.optimal(), ctx)
+        caches = (frame._reception_table, frame._scan_plan, network._transition)
+        before = [cache.cache_info().misses for cache in caches]
+        simulate_line_network(10, NodeStrategy.optimal(), ctx)
+        assert [cache.cache_info().misses for cache in caches] == before
+
+    @pytest.mark.parametrize("mode", ["checksum", "fec"])
+    @pytest.mark.parametrize(
+        "m, payload", [(4, 256), (16, 256), (32, 1024), (12, 256), (5, 110)]
+    )
+    def test_scan_equals_inline_formula(self, m, payload, mode):
+        # M = 12 and 5 also catch an N / M that is not divided per entry.
+        ctx = ScenarioConfig(batch_size=m, payload=payload).context(0.2, mode)
+        masses = np.arange(1.0, m + 1) ** 3
+        for hbar in (
+            RankDistribution.degenerate(m),
+            RankDistribution.truncated_binomial(m, 0.7),
+            RankDistribution.from_masses(masses),
+        ):
+            local = ctx.with_rank_dist(hbar)
+            assert optimize_n(local) == scan_reference(local), hbar
 
 
 class TestPhaseAverageReference:

@@ -7,7 +7,7 @@ from bncagg import AggregationContext, ChannelParams, CodeParams, RankDistributi
 from bncagg import ParameterError, TrialConfig, simulate_period
 from bncagg.gf256 import GF_EXP, GF_LOG, GF_MUL_TABLE, gf256_rank, gf256_rank_many, gf_mul
 from bncagg.oracle import GF256_MATRIX
-from helpers import gf256_mul_slow, gf256_rank_slow
+from helpers import gf256_mul_slow, gf256_mul_table_slow, gf256_rank_rows, gf256_rank_slow
 
 SHAPES = [(r, c) for r in range(1, 7) for c in range(1, 7)]
 KINDS = ["uniform", "sparse", "low_rank"]
@@ -15,15 +15,14 @@ KINDS = ["uniform", "sparse", "low_rank"]
 
 def _low_rank(rng, count, rows, cols):
     """Stacks whose rows are GF(256) combinations of fewer base rows."""
+    mul = gf256_mul_table_slow()
     out = np.zeros((count, rows, cols), dtype=np.int64)
     for i in range(count):
         k = int(rng.integers(0, min(rows, cols)))
         base = rng.integers(0, 256, size=(k, cols))
         coeff = rng.integers(0, 256, size=(rows, k))
-        for r in range(rows):
-            for t in range(k):
-                for c in range(cols):
-                    out[i, r, c] ^= gf256_mul_slow(int(coeff[r, t]), int(base[t, c]))
+        for t in range(k):
+            out[i] ^= mul[coeff[:, t, None], base[None, t, :]]
     return out
 
 
@@ -67,11 +66,27 @@ class TestRankKernel:
             assert got.dtype == np.int64
 
     @pytest.mark.parametrize("kind", KINDS)
-    @pytest.mark.parametrize("rows, cols", [(16, 16), (8, 32), (32, 8), (32, 32)])
+    @pytest.mark.parametrize(
+        "rows, cols",
+        [(16, 16), (8, 32), (32, 8), (32, 32), (64, 64), (128, 128), (255, 256)],
+    )
     def test_large_shapes_match_reference(self, kind, rows, cols):
+        # Stacks of fewer than 256 matrices read the pivot row with a gather.
         rng = np.random.default_rng(rows * cols + KINDS.index(kind))
         mats = _stack(kind, rng, rows, cols, count=4)
-        expect = [gf256_rank_slow(m) for m in mats]
+        reference = gf256_rank_slow if rows * cols <= 1024 else gf256_rank_rows
+        expect = [reference(m) for m in mats]
+        for count in range(1, 5):
+            assert gf256_rank_many(mats[:count]).tolist() == expect[:count], count
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("rows, cols", [(2, 2), (4, 4), (3, 5), (5, 3), (8, 8), (32, 32)])
+    def test_many_matrix_stacks_match_reference(self, kind, rows, cols):
+        # Stacks of 256 or more matrices of at most 32 rows read the pivot
+        # row under a one-hot mask instead.
+        rng = np.random.default_rng(rows * cols + KINDS.index(kind))
+        mats = _stack(kind, rng, rows, cols, count=256)
+        expect = [gf256_rank_rows(m) for m in mats]
         assert gf256_rank_many(mats).tolist() == expect
 
     @pytest.mark.parametrize("rows, cols", [(2, 2), (4, 4), (3, 5), (16, 16), (32, 32)])
@@ -108,6 +123,15 @@ class TestRankKernel:
         got = gf256_rank_many(np.zeros(shape, dtype=np.int64))
         assert got.shape == (0,)
         assert got.dtype == np.int64
+
+
+class TestRowReference:
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_matches_slow_reference(self, kind):
+        rng = np.random.default_rng(40 + KINDS.index(kind))
+        for rows, cols in SHAPES + [(8, 8), (5, 12), (12, 5)]:
+            for m in _stack(kind, rng, rows, cols, count=10):
+                assert gf256_rank_rows(m) == gf256_rank_slow(m), (rows, cols)
 
 
 class TestFieldRange:

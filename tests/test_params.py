@@ -1,0 +1,128 @@
+"""RankDistribution: the same checks and masses through every entry point."""
+
+import math
+
+import numpy as np
+import pytest
+
+from bncagg import ParameterError, RankDistribution
+
+NAN, INF = math.nan, math.inf
+
+# (masses, message raised by the tuple constructor)
+BAD_TUPLES = [
+    ((NAN, 0.5, 0.5), "rank masses must be finite"),
+    ((0.5, 0.5, NAN), "rank masses must be finite"),
+    ((INF, 0.0), "rank masses must be finite"),
+    ((0.5, -INF, INF), "rank masses must be finite"),
+    ((-INF, 1.0), "rank masses must be finite"),
+    ((1.5, -0.5), "rank masses must be nonnegative"),
+    ((-1e308, -1e308), "rank masses must be nonnegative"),
+    ((0.0, 0.0), "rank masses must sum to 1, got 0.0"),
+    ((0.5, 0.25), "rank masses must sum to 1, got 0.75"),
+    ((1e308, 1e308), "rank masses must sum to 1, got inf"),
+    ((), "rank distribution needs at least one rank"),
+]
+
+# (masses, message raised by from_masses); floats only, so NaN and inf fit.
+BAD_FLOATS = [
+    ([NAN, 0.5, 0.5, 0.0], "rank masses must have a positive finite total, got nan"),
+    ([INF, 1.0, 1.0, 1.0], "rank masses must have a positive finite total, got inf"),
+    ([0.5, 0.5, -INF, INF], "rank masses must have a positive finite total, got nan"),
+    ([-INF, 1.0], "rank masses must have a positive finite total, got -inf"),
+    ([1e308, INF], "rank masses must have a positive finite total, got inf"),
+    ([-1e308, -1e308], "rank masses must have a positive finite total, got -inf"),
+    ([0.0, 0.0], "rank masses must have a positive finite total, got 0.0"),
+    ([-1.0, -2.0], "rank masses must have a positive finite total, got -3.0"),
+    ([0.5, -0.25, 0.75], "rank masses must be nonnegative"),
+]
+
+# Integer masses, as a histogram of ranks would give them.
+BAD_INTS = [
+    ([0, 0, 0], "rank masses must have a positive finite total, got 0.0"),
+    ([-1, -2], "rank masses must have a positive finite total, got -3.0"),
+    ([2, -1, 3], "rank masses must be nonnegative"),
+]
+
+
+def parent_normalize(masses) -> tuple[float, ...]:
+    """The float operations of the list-based normalization, written out."""
+    floats = [float(m) for m in masses]
+    total = sum(floats)
+    return tuple(m / total for m in floats)
+
+
+def from_masses_paths(masses, dtype):
+    """from_masses through a list, a float64 array and, for ints, an int64 array."""
+    yield list(masses)
+    yield np.array(masses, dtype=np.float64)
+    if dtype is int:
+        yield np.array(masses, dtype=np.int64)
+
+
+class TestErrorParity:
+    @pytest.mark.parametrize("masses, message", BAD_TUPLES)
+    def test_tuple_constructor(self, masses, message):
+        with pytest.raises(ParameterError) as info:
+            RankDistribution(masses)
+        assert type(info.value) is ParameterError
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize(
+        "masses, message, dtype",
+        [(m, msg, float) for m, msg in BAD_FLOATS] + [(m, msg, int) for m, msg in BAD_INTS],
+    )
+    def test_from_masses(self, masses, message, dtype):
+        for given in from_masses_paths(masses, dtype):
+            with pytest.raises(ParameterError) as info:
+                RankDistribution.from_masses(given)
+            assert type(info.value) is ParameterError
+            assert str(info.value) == message, type(given)
+
+    def test_from_masses_needs_one_dimension(self):
+        with pytest.raises(ParameterError, match="1-d"):
+            RankDistribution.from_masses(np.ones((2, 2)))
+
+
+class TestSameMasses:
+    @pytest.mark.parametrize("m", [1, 2, 4, 16, 32, 100])
+    def test_every_path_is_bit_identical(self, m):
+        rng = np.random.default_rng(m)
+        for draw in range(20):
+            ints = rng.integers(0, 1000, size=m)
+            ints[rng.integers(0, m)] += 1  # a positive total
+            floats = rng.random(m) ** rng.integers(1, 20)
+            for masses, dtype in ((ints.tolist(), int), (floats.tolist(), float)):
+                expect = parent_normalize(masses)
+                assert RankDistribution(expect).masses == expect
+                for given in from_masses_paths(masses, dtype):
+                    got = RankDistribution.from_masses(given).masses
+                    assert got == expect, (draw, type(given))
+                    assert all(type(x) is float for x in got)
+
+    def test_histogram_path_matches_list_path(self):
+        # simulate_end_to_end normalizes a bincount of the surviving ranks.
+        ranks = np.random.default_rng(5).integers(1, 17, size=10_000)
+        hist = np.bincount(ranks, minlength=17)[1:]
+        assert hist.dtype == np.int64
+        got = RankDistribution.from_masses(hist).masses
+        assert got == parent_normalize(hist.tolist())
+
+
+class TestOverflowingTotal:
+    def test_finite_masses_with_an_infinite_sum_normalize(self):
+        got = RankDistribution.from_masses([1e308, 1e308, 0.0, 0.0])
+        assert got.masses == (0.5, 0.5, 0.0, 0.0)
+        got = RankDistribution.from_masses(np.array([1.5e308, 0.0, 1.5e308]))
+        assert got.masses == (0.5, 0.0, 0.5)
+
+    def test_largest_mass_sets_the_scale(self):
+        masses = [1.7e308, 0.85e308, 1e300]
+        got = RankDistribution.from_masses(masses).masses
+        scaled = [m / 1.7e308 for m in masses]
+        assert got == tuple(m / sum(scaled) for m in scaled)
+        assert sum(got) == pytest.approx(1.0, abs=1e-15)
+
+    def test_finite_sums_keep_their_float_operations(self):
+        masses = [1e307, 3e307, 5e307]  # close to the limit, but the sum fits
+        assert RankDistribution.from_masses(masses).masses == parent_normalize(masses)
