@@ -14,13 +14,7 @@ from .frame import (
     max_feasible_n,
     optimize_n,
 )
-from .network import (
-    HopRecord,
-    HopTrace,
-    NodeStrategy,
-    aggregate_reception_pmf,
-    simulate_line_network,
-)
+from .network import HopRecord, HopTrace, NodeStrategy, simulate_line_network
 from .oracle import (
     PeriodEstimate,
     TrialConfig,
@@ -37,15 +31,6 @@ from .params import (
     PhaseError,
     RankDistribution,
 )
-from .probability import (
-    baseline_plr_from_ber,
-    ber_from_plr,
-    bin_d_pmf,
-    binom_pmf,
-    bnc_packet_survival,
-    header_survival,
-)
-from .reference import beta, beta_prime, gamma, gamma_prime, omega
 
 __all__ = [
     "AggregationContext",
@@ -62,23 +47,11 @@ __all__ = [
     "PhaseError",
     "RankDistribution",
     "TrialConfig",
-    "aggregate_reception_pmf",
-    "baseline_plr_from_ber",
-    "ber_from_plr",
-    "beta",
-    "beta_prime",
-    "bin_d_pmf",
-    "binom_pmf",
-    "bnc_packet_survival",
     "enumerate_period_exact",
     "expected_rank_increment",
     "frame_efficiency",
     "frame_size",
-    "gamma",
-    "gamma_prime",
-    "header_survival",
     "max_feasible_n",
-    "omega",
     "optimize_n",
     "simulate_end_to_end",
     "simulate_line_network",

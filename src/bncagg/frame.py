@@ -16,8 +16,8 @@ table, the factors N / M and the frame sizes S(N).  E for every N is one
 product of the plan's table with e, a scan is one argmax, and every hop of a
 line network at the same loss rate reads the same plan, so a warm scan pays
 only for its arithmetic.  The paper's phase-average terms (beta, gamma,
-omega) compute the same E frame by frame; they live in ``reference`` and
-the tests hold this module to them.
+omega) compute the same E frame by frame; they live in ``tests/reference.py``
+and the tests hold this module to them.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ from .params import (
     InfeasibleError,
     ParameterError,
     RankDistribution,
+    positive_int,
 )
 from .phases import batch_lineages
 from .probability import (
@@ -107,15 +108,15 @@ class EfficiencyProfile:
     best_n: int
 
     def value(self, n: int) -> float:
-        if not (isinstance(n, int) and 1 <= n <= self.n_max):
+        n = positive_int(n)
+        if n > self.n_max:
             raise InfeasibleError(f"N={n} outside 1..{self.n_max}")
         return self.efficiency[n - 1]
 
 
 def frame_size(n: int, channel: ChannelParams, code: CodeParams) -> int:
     """Bytes on the wire for a frame aggregating n BNC packets."""
-    if not (isinstance(n, int) and n >= 1):
-        raise ParameterError(f"aggregation count must be >= 1, got {n!r}")
+    n = positive_int(n)
     return (
         channel.proto_header
         + channel.dl_header
@@ -237,9 +238,7 @@ def _scan_plan(
 
 def _table_key(ctx: AggregationContext, n: int) -> tuple[int, int, float, float]:
     """(M, rows, f, d) of the cached reception table that holds pi_N."""
-    if not (isinstance(n, int) and n >= 1):
-        raise ParameterError(f"aggregation count must be >= 1, got {n!r}")
-    rows = max(n, _capacity(ctx.channel, ctx.code))
+    rows = max(positive_int(n), _capacity(ctx.channel, ctx.code))
     return ctx.code.batch_size, rows, ctx.f, ctx.d
 
 

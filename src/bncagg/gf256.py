@@ -79,13 +79,6 @@ def _field_array(values) -> np.ndarray:
     return a
 
 
-def gf_mul(a, b) -> np.ndarray:
-    """Elementwise GF(256) product of broadcastable 0..255 arrays, as int64."""
-    a = _field_array(a).astype(np.intp)
-    b = _field_array(b)
-    return np.asarray(GF_MUL_TABLE[(a << 8) | b], dtype=np.int64)
-
-
 def gf256_rank_many(matrices: np.ndarray) -> np.ndarray:
     """Rank of each matrix in a (count, rows, cols) stack over GF(256)."""
     a = _field_array(matrices)
@@ -164,11 +157,3 @@ def gf256_rank_many(matrices: np.ndarray) -> np.ndarray:
             np.take(GF_MUL_TABLE, index[:n], out=product[:n], mode="clip")
             trailing[start : start + n] ^= product[:n]
     return rank.astype(np.int64)
-
-
-def gf256_rank(matrix) -> int:
-    """Rank of a single matrix over GF(256)."""
-    m = np.asarray(matrix)
-    if m.ndim != 2:
-        raise ParameterError(f"expected a 2-d matrix, got shape {m.shape}")
-    return int(gf256_rank_many(m[None, :, :])[0])

@@ -106,6 +106,7 @@ class HopTrace:
         return [rec.efficiency for rec in self.records]
 
 
+# No package path calls this; bench/tracer.py keys a span by its name (KEYED).
 def aggregate_reception_pmf(n: int, ctx: AggregationContext) -> np.ndarray:
     """PMF of packets received per batch, averaged over the batch lineages.
 

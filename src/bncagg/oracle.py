@@ -44,8 +44,9 @@ large-field E; its exact reference is
 The simulators share no code with the model.  ``enumerate_period_exact``
 walks the same ``batch_lineages`` as the model's lineage reception pmf and
 differs from it only in its brute-force group pmf, so a fault in the lineage
-walk would escape it; the phase-average terms in ``reference`` are the exact
-check that shares no structure with production.
+walk would escape it; the tests catch such a fault with the phase-average
+terms of ``tests/reference.py`` and with enumerations that split batches
+with their own loop.
 """
 
 from __future__ import annotations
@@ -311,9 +312,8 @@ def enumerate_period_exact(
     increment is enumerated over all survival patterns of its own packets and
     the header events of the frames it touches.  It walks ``batch_lineages``
     like the production model does; only its group pmf
-    (:func:`_group_pmf_brute`) is built independently, so the phase-average
-    terms of ``reference`` are the check that shares no structure with
-    production.
+    (:func:`_group_pmf_brute`) is built independently, so a fault in the
+    lineage walk is left to the tests' own references to catch.
 
     With ``field_size=None`` a batch of rank r that receives j packets gains
     min(j, r), the large-field model.  With a prime power q it gains the

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +26,18 @@ class EnumerationSizeError(ParameterError):
 
 
 _NORM_TOL = 1e-12
+
+
+def positive_int(value, name: str = "aggregation count") -> int:
+    """``value`` as a Python int >= 1; numpy integers pass, floats do not."""
+    try:
+        count = operator.index(value)
+    except TypeError:
+        count = 0  # not an integer: rejected below with the same message
+    if count < 1:
+        raise ParameterError(f"{name} must be a positive integer, got {value!r}")
+    return count
+
 
 CHECKSUM = "checksum"
 FEC = "fec"

@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import math
 
-from .params import ParameterError, PhaseError
+from .params import PhaseError, positive_int
 
 
 def phase_sequence(m: int, n: int) -> list[int]:
     """Leading-batch packet count of every frame in one lcm(M, N) period."""
-    _check_mn(m, n)
+    m, n = _check_mn(m, n)
     period = math.lcm(m, n)
     phases = []
     for u in range(period // n):
@@ -28,7 +28,7 @@ def phase_sequence(m: int, n: int) -> list[int]:
 
 def case_i_phases(m: int, n: int) -> list[int]:
     """Phase values for M <= N: each multiple of g up to M, once per period."""
-    _check_mn(m, n)
+    m, n = _check_mn(m, n)
     if m > n:
         raise PhaseError(f"case I needs M <= N, got M={m}, N={n}")
     g = math.gcd(m, n)
@@ -37,7 +37,7 @@ def case_i_phases(m: int, n: int) -> list[int]:
 
 def case_ii_partial_phases(m: int, n: int) -> list[int]:
     """Phase values below N for M > N: multiples of g up to N - g."""
-    _check_mn(m, n)
+    m, n = _check_mn(m, n)
     if m <= n:
         raise PhaseError(f"case II needs M > N, got M={m}, N={n}")
     g = math.gcd(m, n)
@@ -52,7 +52,7 @@ def case_ii_sk_pairs(m: int, n: int) -> list[tuple[int, int]]:
     completely.  ``s`` runs over multiples of g up to min(M - N, N - g) and k
     up to floor((M - s) / N) - 1.
     """
-    _check_mn(m, n)
+    m, n = _check_mn(m, n)
     if m <= n:
         raise PhaseError(f"case II needs M > N, got M={m}, N={n}")
     g = math.gcd(m, n)
@@ -69,7 +69,7 @@ def batch_lineages(m: int, n: int) -> list[tuple[int, ...]]:
     Returns one tuple per batch (lcm(M, N) / M of them); the entries are the
     packet counts the batch contributes to consecutive frames and sum to M.
     """
-    _check_mn(m, n)
+    m, n = _check_mn(m, n)
     period = math.lcm(m, n)
     lineages = []
     for b in range(period // m):
@@ -85,8 +85,5 @@ def batch_lineages(m: int, n: int) -> list[tuple[int, ...]]:
     return lineages
 
 
-def _check_mn(m: int, n: int) -> None:
-    if not (isinstance(m, int) and m >= 1):
-        raise ParameterError(f"batch size must be a positive integer, got {m!r}")
-    if not (isinstance(n, int) and n >= 1):
-        raise ParameterError(f"aggregation count must be a positive integer, got {n!r}")
+def _check_mn(m: int, n: int) -> tuple[int, int]:
+    return positive_int(m, "batch size"), positive_int(n)

@@ -53,26 +53,14 @@ def ber_from_plr(plr: float, channel: ChannelParams, code: CodeParams) -> float:
     """
     if not 0.0 <= plr < 1.0:
         raise ParameterError(f"plr must be in [0, 1), got {plr!r}")
-    bits = 8 * _baseline_bytes(channel, code)
-    return -math.expm1(math.log1p(-plr) / bits)
-
-
-def baseline_plr_from_ber(p: float, channel: ChannelParams, code: CodeParams) -> float:
-    """Inverse of :func:`ber_from_plr`."""
-    if not 0.0 <= p < 1.0:
-        raise ParameterError(f"ber must be in [0, 1), got {p!r}")
-    bits = 8 * _baseline_bytes(channel, code)
-    return -math.expm1(bits * math.log1p(-p))
-
-
-def _baseline_bytes(channel: ChannelParams, code: CodeParams) -> int:
-    return (
+    bits = 8 * (
         channel.proto_header
         + channel.dl_header
         + channel.dl_trailer
         + code.bnc_header
         + code.payload
     )
+    return -math.expm1(math.log1p(-plr) / bits)
 
 
 def header_survival(p: float, channel: ChannelParams) -> float:

@@ -2,11 +2,11 @@
 
 Everything here enumerates reception outcomes bit by bit, or does GF(256)
 arithmetic by shift and add, and shares no code with the implementation it
-checks.  The exceptions are ``line_network_reference``, which rebuilds a
-line network hop by hop from the model's public entry points, without the
-hop caches, and ``scan_reference``, which evaluates the scan formula inline
-from pi_N, so that the cached hop loop and the cached scan plan can be held
-to them float for float.
+checks.  The exceptions are ``scan_reference``, which evaluates the scan
+formula inline from pi_N, and ``line_network_reference``, which rebuilds a
+line network hop by hop from pi_N and ``scan_reference``, without the hop
+caches or the scan plan, so that the cached hop loop and the cached scan
+plan can be held to them float for float.
 """
 
 from __future__ import annotations
@@ -24,10 +24,8 @@ from bncagg import (
     CodeParams,
     EfficiencyProfile,
     RankDistribution,
-    frame_efficiency,
     frame_size,
     max_feasible_n,
-    optimize_n,
 )
 from bncagg.frame import lineage_reception_pmf
 from bncagg.network import HopRecord
@@ -112,12 +110,14 @@ def batch_increment_unconditional(groups, ctx) -> float:
     return total
 
 
-def period_expected_increment(n: int, ctx) -> float:
-    """Exact per-frame E (conditioned on own header) by full enumeration."""
-    m = ctx.code.batch_size
-    period = math.lcm(m, n)
-    total = 0.0
-    for b in range(period // m):
+def _split_batches(m: int, n: int) -> list[list[int]]:
+    """Group sizes of each batch of one lcm(M, N) period, N packets a frame.
+
+    A loop of its own, so that the enumerations below do not rely on
+    ``phases.batch_lineages``.
+    """
+    lineages = []
+    for b in range(math.lcm(m, n) // m):
         start, end = b * m, (b + 1) * m
         groups = []
         pos = start
@@ -125,38 +125,39 @@ def period_expected_increment(n: int, ctx) -> float:
             nxt = min(end, (pos // n + 1) * n)
             groups.append(nxt - pos)
             pos = nxt
+        lineages.append(groups)
+    return lineages
+
+
+def period_expected_increment(n: int, ctx) -> float:
+    """Exact per-frame E (conditioned on own header) by full enumeration."""
+    m = ctx.code.batch_size
+    total = 0.0
+    for groups in _split_batches(m, n):
         total += batch_increment_unconditional(groups, ctx)
-    return total / ((period // n) * ctx.d)
+    return total / ((math.lcm(m, n) // n) * ctx.d)
 
 
 def reception_pmf_bruteforce(r: int, n: int, ctx) -> list[float]:
     """Distribution of min(received, r) for a rank-r batch, over lineages."""
-    m = ctx.code.batch_size
-    period = math.lcm(m, n)
-    lineage_count = period // m
+    lineages = _split_batches(ctx.code.batch_size, n)
     pmf = [0.0] * (r + 1)
-    for b in range(lineage_count):
-        start, end = b * m, (b + 1) * m
-        groups = []
-        pos = start
-        while pos < end:
-            nxt = min(end, (pos // n + 1) * n)
-            groups.append(nxt - pos)
-            pos = nxt
+    for groups in lineages:
         for prob, counts in enum_group_counts(
             groups, ctx.f, ctx.d, [True] * len(groups)
         ):
-            pmf[min(sum(counts), r)] += prob / lineage_count
+            pmf[min(sum(counts), r)] += prob / len(lineages)
     return pmf
 
 
 def line_network_reference(hops: int, strategy, ctx) -> list:
     """Hop records of a line network, rebuilt per hop with no cached state.
 
-    Each hop picks N from the context as the strategy kinds define it, asks
-    ``frame_efficiency`` for its efficiency in a call of its own, and builds
-    the transition afresh from pi_N: pi_N[k] below the diagonal of row r,
-    the tail sum of pi_N on it.
+    Each hop picks N from the context as the strategy kinds define it, reads
+    its efficiency from ``scan_reference`` (the scan formula evaluated
+    inline, without the cached scan plan), and builds the transition afresh
+    from pi_N: pi_N[k] below the diagonal of row r, the tail sum of pi_N on
+    it.
     """
     m = ctx.code.batch_size
     full = np.zeros(m + 1)
@@ -166,13 +167,14 @@ def line_network_reference(hops: int, strategy, ctx) -> list:
         delivered = float(full[1:].sum())
         cond = RankDistribution.from_masses(full[1:])
         local = ctx.with_rank_dist(cond)
+        best, profile = scan_reference(local)
         if strategy.kind == "optimal":
-            n = optimize_n(local)[0]
+            n = best
         elif strategy.kind == "largest":
             n = max_feasible_n(local.channel, local.code)
         else:
             n = strategy.n
-        eff = delivered * frame_efficiency(n, local)
+        eff = delivered * profile.value(n)
         records.append(HopRecord(hop, n, cond, delivered, eff))
         pmf = lineage_reception_pmf(n, local)
         tails = np.cumsum(pmf[::-1])[::-1]

@@ -8,22 +8,24 @@ gamma_prime) and starts (beta_prime), and batches split over several earlier
 frames are handled by the omega recursion.  :func:`phase_average_increment`
 sums those terms into E.
 
-``enumerate_period_exact`` walks ``batch_lineages`` like production does, so
-only its group pmf is independent of it.  These terms share no code with
-production beyond the context, so they are the one check that would catch a
-fault in the lineage walk itself; the tests hold production to them.  No
-production path calls this module: its pure-Python terms cost far more per
-E than the pmf does, and more so as M grows.
+The terms read the context, the phase lists of ``bncagg.phases`` and the
+probability primitives, but neither ``batch_lineages`` nor the reception
+table, so they would catch a fault in the lineage walk; the tests hold
+production to them.  ``helpers.period_expected_increment`` and
+``helpers.reception_pmf_bruteforce`` catch such a fault too, by splitting
+batches with their own loop and enumerating every outcome.  No production
+path calls this module, so it lives with the tests: its pure-Python terms
+cost far more per E than the pmf does, and more so as M grows.
 """
 
 from __future__ import annotations
 
 import math
 
-from .frame import AggregationContext
-from .params import ParameterError, PhaseError
-from .phases import case_i_phases, case_ii_partial_phases, case_ii_sk_pairs
-from .probability import bin_d_pmf, binom_pmf
+from bncagg.frame import AggregationContext
+from bncagg.params import ParameterError, PhaseError
+from bncagg.phases import case_i_phases, case_ii_partial_phases, case_ii_sk_pairs
+from bncagg.probability import bin_d_pmf, binom_pmf
 
 
 def beta_prime(length: int, ctx: AggregationContext) -> float:
@@ -171,7 +173,6 @@ def phase_average_increment(n: int, ctx: AggregationContext) -> float:
     for s, k in case_ii_sk_pairs(m, n):
         total += gamma_prime(s, k, n, ctx)
     return g * total / m
-
 
 
 def _expected_min_table(ctx: AggregationContext) -> list[float]:

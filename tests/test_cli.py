@@ -508,16 +508,71 @@ class TestFuzzedArguments:
         assert "Traceback" not in out.getvalue() + err.getvalue()
 
 
-def test_python_dash_m_runs_the_cli(tmp_path, capsys):
+def _run_python(args, cwd) -> subprocess.CompletedProcess:
+    """``python *args`` in a fresh interpreter with this checkout's src on the path."""
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(src)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
     )
-    args = ["efficiency-curve", "--plr", "0.1"]
-    proc = subprocess.run(
-        [sys.executable, "-m", "bncagg", *args],
-        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+    return subprocess.run(
+        [sys.executable, *args],
+        cwd=cwd, env=env, capture_output=True, text=True, timeout=120,
     )
+
+
+def test_python_dash_m_runs_the_cli(tmp_path, capsys):
+    args = ["efficiency-curve", "--plr", "0.1"]
+    proc = _run_python(["-m", "bncagg", *args], tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == run_cli(args, capsys)[1]
+
+
+PUBLIC_NAMES = [
+    "AggregationContext",
+    "ChannelParams",
+    "CodeParams",
+    "EfficiencyProfile",
+    "EnumerationSizeError",
+    "HopRecord",
+    "HopTrace",
+    "InfeasibleError",
+    "NodeStrategy",
+    "ParameterError",
+    "PeriodEstimate",
+    "PhaseError",
+    "RankDistribution",
+    "TrialConfig",
+    "enumerate_period_exact",
+    "expected_rank_increment",
+    "frame_efficiency",
+    "frame_size",
+    "max_feasible_n",
+    "optimize_n",
+    "simulate_end_to_end",
+    "simulate_line_network",
+    "simulate_period",
+]
+
+SURFACE_SCRIPT = """
+import importlib, sys
+import bncagg
+assert "bncagg.reference" not in sys.modules
+try:
+    importlib.import_module("bncagg.reference")
+except ModuleNotFoundError:
+    pass
+else:
+    sys.exit("bncagg.reference is importable")
+for name in bncagg.__all__:
+    getattr(bncagg, name)
+print(" ".join(sorted(bncagg.__all__)))
+"""
+
+
+def test_package_surface(tmp_path):
+    # The phase-average reference lives with the tests; the package root
+    # exports exactly these names, and each of them resolves.
+    proc = _run_python(["-c", SURFACE_SCRIPT], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == PUBLIC_NAMES

@@ -14,22 +14,16 @@ from bncagg import (
     ParameterError,
     PhaseError,
     RankDistribution,
-    aggregate_reception_pmf,
-    beta,
-    beta_prime,
     expected_rank_increment,
     frame_efficiency,
     frame_size,
-    gamma,
-    gamma_prime,
     max_feasible_n,
-    omega,
     optimize_n,
     simulate_line_network,
 )
 from bncagg import frame, network
 from bncagg.frame import lineage_reception_pmf
-from bncagg.reference import phase_average_increment
+from bncagg.network import aggregate_reception_pmf
 from bncagg.scenario import ScenarioConfig
 from helpers import (
     expected_increment,
@@ -37,6 +31,7 @@ from helpers import (
     period_expected_increment,
     scan_reference,
 )
+from reference import beta, beta_prime, gamma, gamma_prime, omega, phase_average_increment
 
 CH = ChannelParams(baseline_plr=0.10)
 CODE = CodeParams(batch_size=4, payload=256, bnc_header=6, integrity=2)
@@ -50,8 +45,9 @@ class TestFrameSize:
         assert frame_size(33, CH, CODE) == 54 + 33 * 264 == 8766
 
     def test_rejects_zero(self):
-        with pytest.raises(ParameterError):
-            frame_size(0, CH, CODE)
+        for n in (0, np.int64(0), 2.0, "3"):
+            with pytest.raises(ParameterError):
+                frame_size(n, CH, CODE)
 
 
 class TestMaxFeasibleN:
@@ -269,6 +265,8 @@ class TestEfficiencyAndOptimizer:
         ctx = AggregationContext.build(CH, CODE, RankDistribution.degenerate(4))
         with pytest.raises(InfeasibleError):
             frame_efficiency(34, ctx)
+        with pytest.raises(InfeasibleError):
+            frame_efficiency(np.int64(34), ctx)
 
     def test_regression_scan_values(self):
         # Frozen from an exhaustive scan cross-checked by the period oracle.
@@ -370,9 +368,31 @@ class TestReceptionTable:
     def test_rejects_bad_n(self):
         ctx = make_ctx(4, f=0.6, d=0.85)
         for fn in (expected_rank_increment, lineage_reception_pmf, frame_efficiency):
-            for n in (0, -1, 2.0):
+            for n in (0, -1, 2.0, np.float64(2.0), "3", None, np.int64(0)):
                 with pytest.raises(ParameterError):
                     fn(n, ctx)
+
+
+class TestNumpyIntegerN:
+    """A numpy integer N is the same N as the Python int, at every entry point."""
+
+    CTX = make_ctx(4, f=0.6, d=0.85, hbar=RankDistribution.truncated_binomial(4), payload=256)
+
+    @pytest.mark.parametrize("to_numpy", [np.int64, np.int32])
+    @pytest.mark.parametrize("n", [1, 3, 33])
+    def test_same_value(self, n, to_numpy):
+        ctx, k = self.CTX, to_numpy(n)
+        size = frame_size(k, ctx.channel, ctx.code)
+        assert type(size) is int and size == frame_size(n, ctx.channel, ctx.code)
+        assert expected_rank_increment(k, ctx) == expected_rank_increment(n, ctx)
+        assert frame_efficiency(k, ctx) == frame_efficiency(n, ctx)
+        assert optimize_n(ctx)[1].value(k) == optimize_n(ctx)[1].value(n)
+        assert lineage_reception_pmf(k, ctx).tolist() == lineage_reception_pmf(n, ctx).tolist()
+
+    def test_cache_keys_stay_python_ints(self):
+        # Above n_max the requested N sets the table's row count.
+        key = frame._table_key(self.CTX, np.int64(40))
+        assert key[1] == 40 and type(key[1]) is int
 
 
 class TestScanPlan:

@@ -9,14 +9,13 @@ from bncagg import (
     NodeStrategy,
     ParameterError,
     RankDistribution,
-    aggregate_reception_pmf,
     frame_efficiency,
     max_feasible_n,
     optimize_n,
     simulate_line_network,
 )
 from bncagg import frame, network
-from bncagg.network import _evolve_full, _transition_matrix
+from bncagg.network import _evolve_full, _transition_matrix, aggregate_reception_pmf
 from bncagg.scenario import ScenarioConfig
 from helpers import line_network_reference, make_ctx, reception_pmf_bruteforce
 
@@ -75,7 +74,7 @@ class TestReceptionPmf:
         # N >= M with M | N: every batch rides exactly one frame.
         ctx = make_ctx(3, f=0.7, d=0.9)
         pmf = aggregate_reception_pmf(6, ctx)
-        from bncagg import bin_d_pmf
+        from bncagg.probability import bin_d_pmf
 
         for j in range(4):
             assert pmf[j] == pytest.approx(bin_d_pmf(j, 3, 0.7, 0.9), abs=1e-13)
@@ -183,7 +182,11 @@ class TestHopRecordsUnchanged:
     """Every hop record equals the per-hop rebuild, float for float."""
 
     @pytest.mark.parametrize("mode", ["checksum", "fec"])
-    @pytest.mark.parametrize("m, payload", [(4, 256), (16, 256), (32, 1024)])
+    # M = 5 and 12 are there because N / M and N * (1 / M) are the same
+    # float at the powers of two.
+    @pytest.mark.parametrize(
+        "m, payload", [(4, 256), (16, 256), (32, 1024), (5, 256), (12, 256)]
+    )
     def test_records_equal_reference(self, m, payload, mode):
         ctx = ScenarioConfig(batch_size=m, payload=payload).context(0.2, mode)
         for strategy in STRATEGIES:

@@ -1,8 +1,9 @@
 import math
 
+import numpy as np
 import pytest
 
-from bncagg import PhaseError
+from bncagg import ParameterError, PhaseError
 from bncagg.phases import (
     batch_lineages,
     case_i_phases,
@@ -110,3 +111,18 @@ class TestLineages:
                 assert all(
                     1 <= size <= n for groups in lineages for size in groups
                 )
+
+
+class TestCountArguments:
+    @pytest.mark.parametrize("to_numpy", [np.int64, np.int32])
+    def test_numpy_integers_are_python_ints(self, to_numpy):
+        for m, n in [(4, 3), (7, 5), (3, 8)]:
+            got = batch_lineages(to_numpy(m), to_numpy(n))
+            assert got == batch_lineages(m, n)
+            assert all(type(size) is int for sizes in got for size in sizes)
+            assert phase_sequence(to_numpy(m), to_numpy(n)) == phase_sequence(m, n)
+
+    @pytest.mark.parametrize("m, n", [(4, 2.0), (4.0, 2), (4, "2"), (0, 2), (4, 0), (4, -1)])
+    def test_rejects(self, m, n):
+        with pytest.raises(ParameterError):
+            batch_lineages(m, n)
