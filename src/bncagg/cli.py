@@ -10,7 +10,9 @@ Subcommands:
 * ``validate`` -- runs the exhaustive and Monte Carlo oracles against the
   analytical formulas; exit status 1 on any failure.
 
-Exit codes: 0 success, 1 validation failure, 2 configuration error.
+Exit codes: 0 success, 1 validation failure, 2 configuration error, 141
+(128 + SIGPIPE) when the reader of stdout closes it early, as ``| head``
+does; that case prints nothing to stderr.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import math
+import os
 import sys
 from typing import Iterable, TextIO
 
@@ -42,6 +45,15 @@ def _fmt(value: float) -> str:
     return _FMT.format(value)
 
 
+def _check_labels(labels: list[str]) -> None:
+    """Reject a header that would name two columns alike."""
+    seen = set()
+    for label in labels:
+        if label in seen:
+            raise ParameterError(f"two columns would both be labelled {label!r}")
+        seen.add(label)
+
+
 def _write_csv(out: TextIO, header: list[str], rows: Iterable[list[str]]) -> None:
     out.write(",".join(header) + "\n")
     for row in rows:
@@ -51,12 +63,13 @@ def _write_csv(out: TextIO, header: list[str], rows: Iterable[list[str]]) -> Non
 def cmd_efficiency_curve(config: ScenarioConfig, out: TextIO) -> int:
     if config.integrity == BOTH:
         raise ParameterError("efficiency-curve needs a single integrity mode")
+    header = ["N"] + [f"plr{_fmt(plr)}" for plr in config.plrs]
+    _check_labels(header)
     profiles = []
     for plr in config.plrs:
         ctx = config.context(plr, config.integrity)
         profiles.append(optimize_n(ctx)[1])
     n_max = profiles[0].n_max
-    header = ["N"] + [f"plr{plr:g}" for plr in config.plrs]
     rows = (
         [str(n)] + [_fmt(prof.efficiency[n - 1]) for prof in profiles]
         for n in range(1, n_max + 1)
@@ -66,26 +79,28 @@ def cmd_efficiency_curve(config: ScenarioConfig, out: TextIO) -> int:
 
 
 def cmd_throughput(config: ScenarioConfig, out: TextIO) -> int:
+    runs = [
+        (f"plr{_fmt(plr)}_{strategy.label()}_{mode}", plr, strategy, mode)
+        for plr in config.plrs
+        for strategy in config.node_strategies()
+        for mode in config.modes()
+    ]
+    _check_labels([label for label, *_ in runs])
     header = ["hop"]
     columns: list[list[str]] = []
-    for plr in config.plrs:
-        for strategy in config.node_strategies():
-            for mode in config.modes():
-                ctx = AggregationContext.build(
-                    config.channel(plr), config.code(mode)
-                )
-                label = f"plr{plr:g}_{strategy.label()}_{mode}"
-                if config.mc:
-                    estimates = simulate_end_to_end(
-                        ctx, config.hops, strategy, config.seed, config.trials
-                    )
-                    header += [label, label + "_se"]
-                    columns.append([_fmt(e.throughput) for e in estimates])
-                    columns.append([_fmt(e.std_error) for e in estimates])
-                else:
-                    trace = simulate_line_network(config.hops, strategy, ctx)
-                    header.append(label)
-                    columns.append([_fmt(v) for v in trace.efficiencies()])
+    for label, plr, strategy, mode in runs:
+        ctx = AggregationContext.build(config.channel(plr), config.code(mode))
+        if config.mc:
+            estimates = simulate_end_to_end(
+                ctx, config.hops, strategy, config.seed, config.trials
+            )
+            header += [label, label + "_se"]
+            columns.append([_fmt(e.throughput) for e in estimates])
+            columns.append([_fmt(e.std_error) for e in estimates])
+        else:
+            trace = simulate_line_network(config.hops, strategy, ctx)
+            header.append(label)
+            columns.append([_fmt(v) for v in trace.efficiencies()])
     rows = (
         [str(hop + 1)] + [col[hop] for col in columns] for hop in range(config.hops)
     )
@@ -255,9 +270,16 @@ def main(argv: list[str] | None = None) -> int:
     try:
         config = _config_from_args(args)
         if args.out == "-":
-            return _COMMANDS[args.command](config, sys.stdout)
+            status = _COMMANDS[args.command](config, sys.stdout)
+            sys.stdout.flush()  # a closed pipe shows here, not at exit
+            return status
         with open(args.out, "w", newline="") as handle:
             return _COMMANDS[args.command](config, handle)
+    except BrokenPipeError:
+        # The reader is gone.  Python flushes stdout again at exit, so point
+        # it at the null device, where that flush cannot fail.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (ParameterError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -8,16 +8,19 @@ expected rank increment E a frame adds at the next node, given the frame's
 own header arrives, follows from pi_N in one dot product, and frame
 efficiency is d * K * E / S(N).
 
-pi_N depends on (M, N, f, d) but not on the rank distribution, so one
-read-only table per (M, n_max, f, d) is cached, row N - 1 holding pi_N (and
-built past n_max when a larger N is asked for).  Beside it, one read-only
-scan plan per table and frame layout (S(1) and the packet size) holds the
-table, the factors N / M and the frame sizes S(N).  E for every N is one
-product of the plan's table with e, a scan is one argmax, and every hop of a
-line network at the same loss rate reads the same plan, so a warm scan pays
-only for its arithmetic.  The paper's phase-average terms (beta, gamma,
-omega) compute the same E frame by frame; they live in ``tests/reference.py``
-and the tests hold this module to them.
+pi_N depends on (M, N, f, d) but not on the rank distribution, so the
+model keeps one read-only plan per (M, rows, f, d, S(1), packet size), with
+rows = max(N asked, n_max).  A plan holds the reception table (row N - 1 is
+pi_N, built past n_max when a larger N is asked for), the factors N / M, the
+frame sizes S(N), and the hop transitions that a line network asks for,
+each built once (``_transition``).  E for every N is one product of the
+plan's table with e, a scan is one argmax, and every hop of a line network
+at the same loss rate reads the same plan, so a warm scan or hop pays only
+for its arithmetic.  The plans and the min(j, r) matrix behind e, cached
+once per M, are the model's only state, and only this module keys them.
+The paper's phase-average terms (beta, gamma, omega) compute the same E
+frame by frame; they live in ``tests/reference.py`` and the tests hold this
+module to them.
 """
 
 from __future__ import annotations
@@ -44,9 +47,11 @@ from .probability import (
     header_survival,
 )
 
-# Bound on the cached reception tables.  A table holds n_max x (M + 1) floats,
-# 23 KiB at M = 32, K = 64, so a full cache stays under 3 MiB there.  A 10-hop
-# line network at one loss rate reads one table; the README figures, a handful.
+# Bound on the cached plans.  At M = 32, K = 64 (rows = n_max = 89) a plan's
+# table takes 23 KiB, and each of its transitions 8.5 KiB.  A line network
+# builds one transition per distinct N it picks (at most two per plan in the
+# README figures); at two per plan a full cache stays near 5 MiB there.  The
+# worst case is one per row: 780 KiB per plan, 98 MiB for a full cache.
 _PMF_CACHE_SIZE = 128
 # One (M + 1) x M float matrix per batch size, 33 KiB at M = 64.
 _MIN_CACHE_SIZE = 32
@@ -158,7 +163,7 @@ def lineage_reception_pmf(n: int, ctx: AggregationContext) -> np.ndarray:
     frames.  The array is row N - 1 of the context's cached reception table,
     shared by every caller: it is read-only.
     """
-    return _table(ctx, n)[n - 1]
+    return _plan(ctx, n).table[n - 1]
 
 
 def frame_efficiency(n: int, ctx: AggregationContext) -> float:
@@ -207,43 +212,30 @@ def _min_matrix(m: int) -> np.ndarray:
     return mins
 
 
-def _table(ctx: AggregationContext, n: int) -> np.ndarray:
-    """The context's reception table, with rows for N = 1..max(n, n_max)."""
-    return _reception_table(*_table_key(ctx, n))
-
-
 class _ScanPlan(NamedTuple):
-    """What a scan reads besides the rank distribution; arrays are read-only."""
+    """The model state of one (M, rows, f, d, S(1), packet size).
+
+    The arrays are read-only; ``transitions`` maps N to its hop transition
+    and is filled only by :func:`_transition`.
+    """
 
     table: np.ndarray  # the reception table, row N - 1 holding pi_N
     scale: np.ndarray  # N / M for each row
     sizes: np.ndarray  # frame size S(N) in bytes for each row
+    transitions: dict[int, np.ndarray]
 
 
 def _plan(ctx: AggregationContext, n: int) -> _ScanPlan:
-    """The context's scan plan, with rows for N = 1..max(n, n_max)."""
+    """The context's plan, with rows for N = 1..max(n, n_max)."""
+    rows = max(positive_int(n), _capacity(ctx.channel, ctx.code))
     s1 = frame_size(1, ctx.channel, ctx.code)
-    return _scan_plan(*_table_key(ctx, n), s1, ctx.code.packet_size)
+    return _scan_plan(ctx.code.batch_size, rows, ctx.f, ctx.d, s1, ctx.code.packet_size)
 
 
 @functools.lru_cache(maxsize=_PMF_CACHE_SIZE)
 def _scan_plan(
     m: int, rows: int, f: float, d: float, s1: int, step: int
 ) -> _ScanPlan:
-    scale = np.arange(1, rows + 1) / m
-    sizes = s1 + np.arange(rows) * step
-    scale.flags.writeable = sizes.flags.writeable = False
-    return _ScanPlan(_reception_table(m, rows, f, d), scale, sizes)
-
-
-def _table_key(ctx: AggregationContext, n: int) -> tuple[int, int, float, float]:
-    """(M, rows, f, d) of the cached reception table that holds pi_N."""
-    rows = max(positive_int(n), _capacity(ctx.channel, ctx.code))
-    return ctx.code.batch_size, rows, ctx.f, ctx.d
-
-
-@functools.lru_cache(maxsize=_PMF_CACHE_SIZE)
-def _reception_table(m: int, rows: int, f: float, d: float) -> np.ndarray:
     groups = {
         size: np.array([bin_d_pmf(i, size, f, d) for i in range(size + 1)])
         for size in range(1, min(m, rows) + 1)
@@ -259,5 +251,25 @@ def _reception_table(m: int, rows: int, f: float, d: float) -> np.ndarray:
         for sizes in lineages:
             row += lineage_pmf(sizes)
         row /= len(lineages)
-    table.flags.writeable = False
-    return table
+    scale = np.arange(1, rows + 1) / m
+    sizes = s1 + np.arange(rows) * step
+    table.flags.writeable = scale.flags.writeable = sizes.flags.writeable = False
+    return _ScanPlan(table, scale, sizes, {})
+
+
+def _transition(n: int, ctx: AggregationContext) -> np.ndarray:
+    """T[r, k] = P(next-hop rank k | rank r): pi_N[k] below r, its tail at r.
+
+    Built the first time a hop asks for it and kept in the plan, so every
+    hop with the same plan and N shares it: read-only.
+    """
+    plan = _plan(ctx, n)
+    t = plan.transitions.get(n)
+    if t is None:
+        pmf = plan.table[n - 1]
+        tails = np.cumsum(pmf[::-1])[::-1]
+        t = np.tril(np.tile(pmf, (pmf.size, 1)), k=-1)
+        np.fill_diagonal(t, tails)
+        t.flags.writeable = False
+        plan.transitions[n] = t
+    return t

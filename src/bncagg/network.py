@@ -10,17 +10,16 @@ and the per-hop efficiency is scaled by the probability of rank >= 1.
 
 Each hop runs one ``optimize_n`` scan under its incoming rank distribution:
 the strategy picks N from the scan's profile and the hop records the
-profile's entry for that N.  The scan reads the model's cached scan plan
-(the reception table, N / M and the frame sizes S(N)), so a warm hop pays
-for the product with its own rank distribution and little else.  The
-transition depends on the rank distribution only through N, so it is cached
-read-only per reception table and N, and built the first time a hop asks
-for it.
+profile's entry for that N.  The scan reads the model's cached plan (the
+reception table, N / M and the frame sizes S(N)), so a warm hop pays for the
+product with its own rank distribution and little else.  The transition
+depends on the rank distribution only through N, so ``frame._transition``
+builds it the first time a hop asks for it and keeps it, read-only, in the
+same plan.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -29,17 +28,11 @@ import numpy as np
 from .frame import (
     AggregationContext,
     EfficiencyProfile,
-    _reception_table,
-    _table_key,
+    _transition,
     lineage_reception_pmf,
     optimize_n,
 )
-from .params import InfeasibleError, ParameterError, RankDistribution
-
-# Bound on the cached hop transitions.  One holds (M + 1)^2 floats, 8.5 KiB
-# at M = 32, so a full cache stays near 1 MiB there.  A line network reads
-# one per distinct N it picks.
-_TRANSITION_CACHE_SIZE = 128
+from .params import InfeasibleError, ParameterError, RankDistribution, positive_int
 
 OPTIMAL = "optimal"
 LARGEST = "largest"
@@ -58,8 +51,8 @@ class NodeStrategy:
             raise ParameterError(f"unknown strategy kind {self.kind!r}")
         if (self.kind == FIXED) != (self.n is not None):
             raise ParameterError("fixed strategies need n, others must not set it")
-        if self.kind == FIXED and self.n < 1:
-            raise ParameterError(f"fixed N must be >= 1, got {self.n!r}")
+        if self.kind == FIXED:
+            positive_int(self.n, "fixed N")
 
     @classmethod
     def optimal(cls) -> "NodeStrategy":
@@ -126,8 +119,7 @@ def simulate_line_network(
     distribution is pushed through the link.  Recoding restores every batch
     to M outgoing packets, so the loss model is identical at every hop.
     """
-    if hops < 1:
-        raise ParameterError(f"hops must be >= 1, got {hops!r}")
+    hops = positive_int(hops, "hops")
     m = ctx.code.batch_size
     full = np.zeros(m + 1)
     full[m] = 1.0
@@ -150,27 +142,9 @@ def simulate_line_network(
     return HopTrace(tuple(records))
 
 
-def _transition_matrix(n: int, ctx: AggregationContext) -> np.ndarray:
-    """T[r, k] = P(next-hop rank k | rank r): pi_N[k] below r, its tail at r.
-
-    Shared by every hop with the same reception table and N: read-only.
-    """
-    return _transition(*_table_key(ctx, n), n)
-
-
-@functools.lru_cache(maxsize=_TRANSITION_CACHE_SIZE)
-def _transition(m: int, rows: int, f: float, d: float, n: int) -> np.ndarray:
-    pmf = _reception_table(m, rows, f, d)[n - 1]
-    tails = np.cumsum(pmf[::-1])[::-1]
-    t = np.tril(np.tile(pmf, (pmf.size, 1)), k=-1)
-    np.fill_diagonal(t, tails)
-    t.flags.writeable = False
-    return t
-
-
 def _evolve_full(full: np.ndarray, n: int, ctx: AggregationContext) -> np.ndarray:
     """Push a distribution over ranks 0..M through one lossy hop."""
-    out = full @ _transition_matrix(n, ctx)
+    out = full @ _transition(n, ctx)
     # Guard against accumulated round-off; the mass is conserved analytically.
     total = out.sum()
     if not math.isclose(total, 1.0, abs_tol=1e-9):

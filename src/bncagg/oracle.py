@@ -52,6 +52,7 @@ with their own loop.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,7 +60,7 @@ import numpy as np
 from .frame import AggregationContext, frame_size, optimize_n
 from .gf256 import gf256_rank_many
 from .network import NodeStrategy
-from .params import EnumerationSizeError, ParameterError, RankDistribution
+from .params import EnumerationSizeError, ParameterError, RankDistribution, positive_int
 from .phases import batch_lineages
 
 RANK_COUNTING = "rank_counting"
@@ -82,8 +83,9 @@ class TrialConfig:
     mode: str = RANK_COUNTING
 
     def __post_init__(self) -> None:
-        if self.trials < 1:
-            raise ParameterError(f"trials must be >= 1, got {self.trials!r}")
+        positive_int(self.n)
+        positive_int(self.trials, "trials")
+        _check_seed(self.seed)
         if self.mode not in (RANK_COUNTING, GF256_MATRIX):
             raise ParameterError(f"unknown mode {self.mode!r}")
 
@@ -105,6 +107,16 @@ class HopEstimate:
     n: int
     throughput: float
     std_error: float
+
+
+def _check_seed(seed) -> None:
+    """A seed is an integer >= 0, as ``SeedSequence`` needs; numpy integers pass."""
+    try:
+        valid = operator.index(seed) >= 0
+    except TypeError:
+        valid = False
+    if not valid:
+        raise ParameterError(f"seed must be a nonnegative integer, got {seed!r}")
 
 
 def _chunk_rng(seed: int, *key: int) -> np.random.Generator:
@@ -402,8 +414,9 @@ def simulate_end_to_end(
     population starts at full rank and is carried hop to hop.  N is chosen
     per hop from the empirical rank histogram of the surviving population.
     """
-    if hops < 1:
-        raise ParameterError(f"hops must be >= 1, got {hops!r}")
+    hops = positive_int(hops, "hops")
+    trials = positive_int(trials, "trials")
+    _check_seed(seed)
     m = ctx.code.batch_size
     payload = ctx.code.payload
     records = []

@@ -26,24 +26,6 @@ def phase_sequence(m: int, n: int) -> list[int]:
     return phases
 
 
-def case_i_phases(m: int, n: int) -> list[int]:
-    """Phase values for M <= N: each multiple of g up to M, once per period."""
-    m, n = _check_mn(m, n)
-    if m > n:
-        raise PhaseError(f"case I needs M <= N, got M={m}, N={n}")
-    g = math.gcd(m, n)
-    return list(range(g, m + 1, g))
-
-
-def case_ii_partial_phases(m: int, n: int) -> list[int]:
-    """Phase values below N for M > N: multiples of g up to N - g."""
-    m, n = _check_mn(m, n)
-    if m <= n:
-        raise PhaseError(f"case II needs M > N, got M={m}, N={n}")
-    g = math.gcd(m, n)
-    return list(range(g, n - g + 1, g))
-
-
 def case_ii_sk_pairs(m: int, n: int) -> list[tuple[int, int]]:
     """Valid (s, k) lineages of the full-batch frames when M > N.
 

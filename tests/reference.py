@@ -8,8 +8,9 @@ gamma_prime) and starts (beta_prime), and batches split over several earlier
 frames are handled by the omega recursion.  :func:`phase_average_increment`
 sums those terms into E.
 
-The terms read the context, the phase lists of ``bncagg.phases`` and the
-probability primitives, but neither ``batch_lineages`` nor the reception
+The terms read the context, the phase lists (``case_i_phases`` and
+``case_ii_partial_phases`` here, ``case_ii_sk_pairs`` from ``bncagg.phases``)
+and the probability primitives, but neither ``batch_lineages`` nor the reception
 table, so they would catch a fault in the lineage walk; the tests hold
 production to them.  ``helpers.period_expected_increment`` and
 ``helpers.reception_pmf_bruteforce`` catch such a fault too, by splitting
@@ -24,7 +25,7 @@ import math
 
 from bncagg.frame import AggregationContext
 from bncagg.params import ParameterError, PhaseError
-from bncagg.phases import case_i_phases, case_ii_partial_phases, case_ii_sk_pairs
+from bncagg.phases import _check_mn, case_ii_sk_pairs
 from bncagg.probability import bin_d_pmf, binom_pmf
 
 
@@ -222,3 +223,21 @@ def _omega_terminal(
             pi * max(min(j, base - i), 0) for i, pi in enumerate(partial_pmf)
         )
     return total
+
+
+def case_i_phases(m: int, n: int) -> list[int]:
+    """Phase values for M <= N: each multiple of g up to M, once per period."""
+    m, n = _check_mn(m, n)
+    if m > n:
+        raise PhaseError(f"case I needs M <= N, got M={m}, N={n}")
+    g = math.gcd(m, n)
+    return list(range(g, m + 1, g))
+
+
+def case_ii_partial_phases(m: int, n: int) -> list[int]:
+    """Phase values below N for M > N: multiples of g up to N - g."""
+    m, n = _check_mn(m, n)
+    if m <= n:
+        raise PhaseError(f"case II needs M > N, got M={m}, N={n}")
+    g = math.gcd(m, n)
+    return list(range(g, n - g + 1, g))

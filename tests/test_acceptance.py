@@ -33,10 +33,10 @@ from bncagg.gf256 import gf256_rank_many
 from bncagg.oracle import GF256_MATRIX, RANK_COUNTING, _chunk_rng
 from bncagg.phases import (
     batch_lineages,
-    case_i_phases,
     case_ii_sk_pairs,
     phase_sequence,
 )
+from reference import case_i_phases
 
 SEED = 20240901
 

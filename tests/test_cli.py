@@ -508,7 +508,7 @@ class TestFuzzedArguments:
         assert "Traceback" not in out.getvalue() + err.getvalue()
 
 
-def _run_python(args, cwd) -> subprocess.CompletedProcess:
+def _run_python(args, cwd, stdout=subprocess.PIPE) -> subprocess.CompletedProcess:
     """``python *args`` in a fresh interpreter with this checkout's src on the path."""
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ)
@@ -517,7 +517,7 @@ def _run_python(args, cwd) -> subprocess.CompletedProcess:
     )
     return subprocess.run(
         [sys.executable, *args],
-        cwd=cwd, env=env, capture_output=True, text=True, timeout=120,
+        cwd=cwd, env=env, stdout=stdout, stderr=subprocess.PIPE, text=True, timeout=120,
     )
 
 
@@ -526,6 +526,41 @@ def test_python_dash_m_runs_the_cli(tmp_path, capsys):
     proc = _run_python(["-m", "bncagg", *args], tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == run_cli(args, capsys)[1]
+
+
+def test_closed_stdout_exits_141_quietly(tmp_path):
+    # The reader is gone before the first write, as `| head -1` can leave it.
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = _run_python(["-m", "bncagg", "efficiency-curve", "--plr", "0.1"], tmp_path, write)
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (141, "")
+
+
+@pytest.mark.parametrize(
+    "args, label",
+    [
+        (["efficiency-curve", "--plr", "0.1", "--plr", "0.1"], "plr0.1"),
+        (
+            ["throughput", "--hops", "1", "--plr", "0.2", "--integrity", "checksum",
+             "--strategy", "fixed:1", "--strategy", "fixed:01"],
+            "plr0.2_fixed1_checksum",
+        ),
+    ],
+    ids=["efficiency-curve", "throughput"],
+)
+def test_repeated_column_label_is_an_error(args, label, capsys):
+    code, out, err = run_cli(args, capsys)
+    assert (code, out) == (2, "")
+    assert err == f"error: two columns would both be labelled {label!r}\n"
+
+
+def test_close_plrs_get_distinct_labels(capsys):
+    code, out, _ = run_cli(["efficiency-curve", "--plr", "0.1", "--plr", "0.10000000001"], capsys)
+    assert code == 0
+    assert parse_csv(out)[0] == ["N", "plr0.1", "plr0.10000000001"]
 
 
 PUBLIC_NAMES = [

@@ -21,7 +21,7 @@ from bncagg import (
     optimize_n,
     simulate_line_network,
 )
-from bncagg import frame, network
+from bncagg import frame
 from bncagg.frame import lineage_reception_pmf
 from bncagg.network import aggregate_reception_pmf
 from bncagg.scenario import ScenarioConfig
@@ -332,7 +332,7 @@ class TestReceptionPmfCache:
 
 
 class TestReceptionTable:
-    """Every use of the model reads one cached table per (M, n_max, f, d)."""
+    """Every use of the model reads one cached plan per context and rows."""
 
     @pytest.mark.parametrize("m", (4, 16, 32))
     def test_scalar_is_the_scan_entry(self, m):
@@ -344,12 +344,12 @@ class TestReceptionTable:
             assert frame_efficiency(n, ctx) == profile.efficiency[n - 1], n
 
     def test_scan_and_line_network_build_one_table(self):
-        # A loss rate no other test uses, so the table is not cached yet.
+        # A loss rate no other test uses, so the plan is not cached yet.
         ctx = AggregationContext.build(ChannelParams(baseline_plr=0.1734), CODE)
-        before = frame._reception_table.cache_info().misses
+        before = frame._scan_plan.cache_info().misses
         optimize_n(ctx)
         simulate_line_network(10, NodeStrategy.optimal(), ctx)
-        assert frame._reception_table.cache_info().misses == before + 1
+        assert frame._scan_plan.cache_info().misses == before + 1
 
     @pytest.mark.parametrize("mtu", (400, 200))
     def test_defined_beyond_n_max(self, mtu):
@@ -390,9 +390,10 @@ class TestNumpyIntegerN:
         assert lineage_reception_pmf(k, ctx).tolist() == lineage_reception_pmf(n, ctx).tolist()
 
     def test_cache_keys_stay_python_ints(self):
-        # Above n_max the requested N sets the table's row count.
-        key = frame._table_key(self.CTX, np.int64(40))
-        assert key[1] == 40 and type(key[1]) is int
+        # Above n_max the requested N sets the plan's row count.
+        plan = frame._plan(self.CTX, np.int64(40))
+        assert plan is frame._plan(self.CTX, 40)
+        assert plan.table.shape == (40, 5) and plan.sizes.shape == (40,)
 
 
 class TestScanPlan:
@@ -402,9 +403,9 @@ class TestScanPlan:
         ctx = make_ctx(4, f=0.6, d=0.8)
         n_max = max_feasible_n(ctx.channel, ctx.code)
         plan = frame._plan(ctx, n_max)
-        assert plan is frame._plan(ctx, n_max)
-        assert plan.table is frame._reception_table(*frame._table_key(ctx, n_max))
-        for array in plan:
+        assert plan is frame._plan(ctx, 1)
+        assert np.shares_memory(plan.table, lineage_reception_pmf(3, ctx))
+        for array in (plan.table, plan.scale, plan.sizes):
             assert len(array) == n_max
             assert not array.flags.writeable
             with pytest.raises(ValueError):
@@ -422,10 +423,14 @@ class TestScanPlan:
         # A loss rate no other test uses, so the first run fills the caches.
         ctx = ScenarioConfig(batch_size=16, payload=256).context(0.1837, "checksum")
         simulate_line_network(10, NodeStrategy.optimal(), ctx)
-        caches = (frame._reception_table, frame._scan_plan, network._transition)
+        caches = (frame._scan_plan, frame._min_matrix)
         before = [cache.cache_info().misses for cache in caches]
+        plan = frame._plan(ctx, 1)
+        built = dict(plan.transitions)
         simulate_line_network(10, NodeStrategy.optimal(), ctx)
         assert [cache.cache_info().misses for cache in caches] == before
+        assert plan.transitions.keys() == built.keys()
+        assert all(plan.transitions[n] is t for n, t in built.items())
 
     @pytest.mark.parametrize("mode", ["checksum", "fec"])
     @pytest.mark.parametrize(

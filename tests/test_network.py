@@ -15,7 +15,8 @@ from bncagg import (
     simulate_line_network,
 )
 from bncagg import frame, network
-from bncagg.network import _evolve_full, _transition_matrix, aggregate_reception_pmf
+from bncagg.frame import _transition
+from bncagg.network import _evolve_full, aggregate_reception_pmf
 from bncagg.scenario import ScenarioConfig
 from helpers import line_network_reference, make_ctx, reception_pmf_bruteforce
 
@@ -81,7 +82,7 @@ class TestReceptionPmf:
 
     def test_matches_bruteforce(self):
         ctx = make_ctx(3, f=0.5, d=0.9)
-        got = _transition_matrix(5, ctx)[3]
+        got = _transition(5, ctx)[3]
         expect = reception_pmf_bruteforce(3, 5, ctx)
         assert np.allclose(got, expect, atol=1e-13)
 
@@ -89,7 +90,7 @@ class TestReceptionPmf:
         # Row r of the hop transition is the next-hop rank pmf of a rank-r
         # batch: nothing above r, and the mass of j >= r received sits at r.
         ctx = make_ctx(4, f=0.6, d=0.8)
-        t = _transition_matrix(3, ctx)
+        t = _transition(3, ctx)
         assert t.shape == (5, 5)
         assert np.allclose(t.sum(axis=1), 1.0, atol=1e-12)
         assert not np.triu(t, k=1).any()
@@ -118,12 +119,7 @@ class TestEvolution:
         assert means[-1] < means[0]
 
     def test_lost_mass_is_an_internal_fault(self, monkeypatch):
-        import bncagg.network as network
-
-        real = network._transition_matrix
-        monkeypatch.setattr(
-            network, "_transition_matrix", lambda n, ctx: 0.9 * real(n, ctx)
-        )
+        monkeypatch.setattr(network, "_transition", lambda n, ctx: 0.9 * _transition(n, ctx))
         ctx = make_ctx(4, f=0.8, d=0.95)
         with pytest.raises(RuntimeError, match="N=3 lost mass") as info:
             simulate_line_network(2, NodeStrategy.fixed(3), ctx)
@@ -224,23 +220,24 @@ class TestHopCaches:
         assert calls == [rec.rank_dist for rec in trace.records]
 
     def test_cache_misses(self):
-        tables = frame._reception_table.cache_info().misses
-        transitions = network._transition.cache_info().misses
-        trace = simulate_line_network(10, NodeStrategy.optimal(), self.fresh_ctx(0.61804))
-        distinct = {rec.n for rec in trace.records}
-        assert frame._reception_table.cache_info().misses == tables + 1
-        assert network._transition.cache_info().misses == transitions + len(distinct)
+        # One plan for the scans and every hop; it keeps one transition per N.
+        ctx = self.fresh_ctx(0.61804)
+        plans = frame._scan_plan.cache_info().misses
+        trace = simulate_line_network(10, NodeStrategy.optimal(), ctx)
+        assert frame._scan_plan.cache_info().misses == plans + 1
+        transitions = frame._plan(ctx, 1).transitions
+        assert sorted(transitions) == sorted({rec.n for rec in trace.records})
 
     def test_scan_builds_no_transition(self):
-        before = network._transition.cache_info()
-        optimize_n(self.fresh_ctx(0.61805))
-        after = network._transition.cache_info()
-        assert (after.misses, after.currsize) == (before.misses, before.currsize)
+        ctx = self.fresh_ctx(0.61805)
+        optimize_n(ctx)
+        assert frame._plan(ctx, 1).transitions == {}
 
     def test_cached_transition_is_read_only(self):
         ctx = make_ctx(4, f=0.6, d=0.8)
-        t = _transition_matrix(3, ctx)
-        assert t is _transition_matrix(3, ctx)
+        t = _transition(3, ctx)
+        assert t is _transition(np.int64(3), ctx)
+        assert t is frame._plan(ctx, 3).transitions[3]
         assert not t.flags.writeable
         with pytest.raises(ValueError):
             t[0, 0] = 1.0

