@@ -12,13 +12,20 @@ Subcommands:
 
 Exit codes: 0 success, 1 validation failure, 2 configuration error, 141
 (128 + SIGPIPE) when the reader of stdout closes it early, as ``| head``
-does; that case prints nothing to stderr.
+does; that case prints nothing to stderr.  ``--out FILE`` is written only
+when the command returns 0 or 1, so a failing run leaves an existing file
+as it was.
+
+``main`` builds the argument parser once per process and reuses it on every
+call; ``build_parser`` still returns a fresh one.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
+import io
 import math
 import os
 import sys
@@ -130,8 +137,7 @@ def cmd_validate(config: ScenarioConfig, out: TextIO) -> int:
             if m <= n:
                 ok &= sorted(phases) == list(range(g, m + 1, g))
             else:
-                full = sum(1 for p in phases if p == n)
-                ok &= full == (m - n + g) // g
+                ok &= phases.count(n) == (m - n + g) // g
                 ok &= len(case_ii_sk_pairs(m, n)) == (m - n + g) // g
             if not ok and worst is None:
                 worst = (m, n)
@@ -236,6 +242,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # Parsing reads the tree and keeps nothing of a call, so one tree serves
+    # every call in the process.
+    return build_parser()
+
+
 def _config_from_args(args: argparse.Namespace) -> ScenarioConfig:
     # Built-in defaults, then the config file, then flags; throughput
     # compares both integrity modes unless told otherwise.  A flag sets the
@@ -265,16 +278,20 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         config = _config_from_args(args)
         if args.out == "-":
             status = _COMMANDS[args.command](config, sys.stdout)
             sys.stdout.flush()  # a closed pipe shows here, not at exit
             return status
+        # A command that fails raises before it returns, so the file is
+        # opened, and an existing one replaced, only for a result: 0 or 1.
+        buf = io.StringIO()
+        status = _COMMANDS[args.command](config, buf)
         with open(args.out, "w", newline="") as handle:
-            return _COMMANDS[args.command](config, handle)
+            handle.write(buf.getvalue())
+        return status
     except BrokenPipeError:
         # The reader is gone.  Python flushes stdout again at exit, so point
         # it at the null device, where that flush cannot fail.

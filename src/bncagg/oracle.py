@@ -9,7 +9,8 @@ bit-identical for a given seed regardless of how the work is scheduled.
 
 Within a chunk the draws are, in order: one word per batch for its rank,
 one per frame for its header, one per packet for its survival, then in
-``gf256_matrix`` mode one byte per coefficient, two to a word.  They read
+``gf256_matrix`` mode one byte per coefficient, two to a word.  A lost
+header clears the survival of its frame's packets in place.  They read
 the same Philox words as ``Generator.random`` and
 ``Generator.integers(0, 256)`` would, so the stream is the one those calls
 define, but they skip the float64 and int64 arrays:
@@ -46,11 +47,13 @@ walks the same ``batch_lineages`` as the model's lineage reception pmf and
 differs from it only in its brute-force group pmf, so a fault in the lineage
 walk would escape it; the tests catch such a fault with the phase-average
 terms of ``tests/reference.py`` and with enumerations that split batches
-with their own loop.
+with their own loop.  That group pmf is cached read-only per (size, f, d):
+``validate`` asks for the same ten about two thousand times.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -70,6 +73,9 @@ _CHUNK = 1 << 16
 _BLOCK = 1 << 18  # words drawn or coefficients ranked at once; 2 MiB of uint64
 _WORD_LIMIT = 1 << 64
 _MAX_ENUM_TERMS = 1 << 24
+# Bound on the cached brute-force group pmfs, each at most 24 floats (the
+# enumeration bound caps M at 23).
+_GROUP_CACHE_SIZE = 256
 
 
 @dataclass(frozen=True)
@@ -224,7 +230,10 @@ def _increments(
     period = batches * m
     headers = _bernoulli(rng, ctx.d, (trials, period // n))
     received = _bernoulli(rng, ctx.f, (trials, period))
-    received &= np.repeat(headers, n, axis=1)
+    # Row i of this view holds the packets of frame i: clear the rows of the
+    # lost frames.  Their index takes 8 bytes per lost frame, so it outgrows
+    # ``received`` (N bytes per frame) only if more than N/8 of them are lost.
+    received.reshape(-1, n)[np.flatnonzero(~headers)] = False
     del headers
     # Each batch's packets are M adjacent 0/1 bytes.  Read them as w-byte words,
     # w = gcd(M, 8): multiplying a word by 0x01..01 adds its bytes into its
@@ -300,7 +309,10 @@ def simulate_period(config: TrialConfig) -> PeriodEstimate:
         ranks = _draw_ranks(rng, ctx.rank_dist, (rows.stop - rows.start, batches))
         inc = _increments(rng, ctx, n, ranks, config.mode)
         hist += np.bincount(inc.ravel(), minlength=m + 1)[: m + 1]
-        per_trial = inc.sum(axis=1) / (frames * ctx.d)
+        # Row sums of small integers are exact in float64, so these are the
+        # floats ``inc.sum(axis=1)`` gives; einsum casts in small buffers and
+        # pays far less per row of a few batches than that reduction does.
+        per_trial = np.einsum("ij->i", inc, dtype=np.float64) / (frames * ctx.d)
         total += float(per_trial.sum())
         total_sq += float((per_trial**2).sum())
     mean = total / config.trials
@@ -390,14 +402,19 @@ def _is_prime_power(q: object) -> bool:
     return q == 1
 
 
+@functools.lru_cache(maxsize=_GROUP_CACHE_SIZE)
 def _group_pmf_brute(size: int, f: float, d: float) -> np.ndarray:
-    """Received-count pmf for one group, by enumerating each packet's bit."""
+    """Received-count pmf for one group, by enumerating each packet's bit.
+
+    Cached per (size, f, d), so the array is read-only.
+    """
     survive = np.zeros(size + 1)
     for mask in range(1 << size):
         bits = mask.bit_count()
         survive[bits] += f**bits * (1.0 - f) ** (size - bits)
     pmf = d * survive
     pmf[0] += 1.0 - d
+    pmf.flags.writeable = False
     return pmf
 
 

@@ -17,12 +17,10 @@ from .params import PhaseError, positive_int
 def phase_sequence(m: int, n: int) -> list[int]:
     """Leading-batch packet count of every frame in one lcm(M, N) period."""
     m, n = _check_mn(m, n)
-    period = math.lcm(m, n)
     phases = []
-    for u in range(period // n):
-        start = u * n
-        batch = start // m
-        phases.append(min((batch + 1) * m, start + n) - start)
+    for start in range(0, math.lcm(m, n), n):
+        left = m - start % m  # packets of the leading batch not yet sent
+        phases.append(left if left < n else n)  # min() costs a call per frame
     return phases
 
 
@@ -38,11 +36,9 @@ def case_ii_sk_pairs(m: int, n: int) -> list[tuple[int, int]]:
     if m <= n:
         raise PhaseError(f"case II needs M > N, got M={m}, N={n}")
     g = math.gcd(m, n)
-    pairs = []
-    for s in range(0, min(m - n, n - g) + 1, g):
-        for k in range((m - s) // n):
-            pairs.append((s, k))
-    return pairs
+    return [
+        (s, k) for s in range(0, min(m - n, n - g) + 1, g) for k in range((m - s) // n)
+    ]
 
 
 def batch_lineages(m: int, n: int) -> list[tuple[int, ...]]:

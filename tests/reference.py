@@ -17,6 +17,10 @@ production to them.  ``helpers.period_expected_increment`` and
 batches with their own loop and enumerating every outcome.  No production
 path calls this module, so it lives with the tests: its pure-Python terms
 cost far more per E than the pmf does, and more so as M grows.
+
+``phase_sequence_loop`` and ``case_ii_sk_pairs_loop`` keep the earlier loop
+forms of the two phase helpers, which the tests hold the production forms
+to, list for list.
 """
 
 from __future__ import annotations
@@ -241,3 +245,33 @@ def case_ii_partial_phases(m: int, n: int) -> list[int]:
         raise PhaseError(f"case II needs M > N, got M={m}, N={n}")
     g = math.gcd(m, n)
     return list(range(g, n - g + 1, g))
+
+
+def phase_sequence_loop(m: int, n: int) -> list[int]:
+    """Leading-batch packet count of every frame, one ``min`` per frame.
+
+    The earlier form of ``bncagg.phases.phase_sequence``, which now takes
+    the smaller of N and the packets left in the leading batch without
+    ``min``; the tests hold the two equal list for list.
+    """
+    m, n = _check_mn(m, n)
+    period = math.lcm(m, n)
+    phases = []
+    for u in range(period // n):
+        start = u * n
+        batch = start // m
+        phases.append(min((batch + 1) * m, start + n) - start)
+    return phases
+
+
+def case_ii_sk_pairs_loop(m: int, n: int) -> list[tuple[int, int]]:
+    """The earlier nested-loop form of ``bncagg.phases.case_ii_sk_pairs``."""
+    m, n = _check_mn(m, n)
+    if m <= n:
+        raise PhaseError(f"case II needs M > N, got M={m}, N={n}")
+    g = math.gcd(m, n)
+    pairs = []
+    for s in range(0, min(m - n, n - g) + 1, g):
+        for k in range((m - s) // n):
+            pairs.append((s, k))
+    return pairs

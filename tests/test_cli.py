@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import math
 import os
@@ -20,6 +21,7 @@ from bncagg import (
     frame_efficiency,
     simulate_line_network,
 )
+from bncagg import cli
 from bncagg.cli import main
 from bncagg.scenario import ScenarioConfig, parse_rank_dist, parse_strategy
 from bncagg.params import ParameterError
@@ -181,8 +183,79 @@ class TestThroughput:
         assert out == ""
         assert target.read_text().startswith("N,plr0.1\n")
 
+    def test_failed_command_keeps_the_output_file(self, tmp_path, capsys):
+        # fixed:40 exceeds n_max = 33, an error found after --out is parsed.
+        target = tmp_path / "out.csv"
+        target.write_text("old content")
+        argv = ["throughput", "--hops", "2", "--strategy", "fixed:40", "--plr", "0.2"]
+        code, out, err = run_cli(argv + ["--out", str(target)], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ")
+        assert target.read_text() == "old content"
+
+
+class TestParserReuse:
+    """``main`` reuses one parser; no call may see what an earlier one parsed."""
+
+    @pytest.fixture(autouse=True)
+    def fresh_parser(self):
+        cli._parser.cache_clear()
+        yield
+        cli._parser.cache_clear()
+
+    @pytest.mark.parametrize(
+        "flags", [["--plr", "0.1", "--plr", "0.2"], ["--plr", "0.3", "--payload", "110"]]
+    )
+    def test_flags_do_not_leak_into_later_calls(self, flags, capsys):
+        code, first, _ = run_cli(["efficiency-curve"], capsys)
+        assert code == 0
+        assert run_cli(["efficiency-curve", *flags], capsys)[0] == 0
+        assert run_cli(["efficiency-curve"], capsys) == (0, first, "")
+        args = cli._parser().parse_args(["efficiency-curve"])
+        assert (args.plrs, args.payload) == (None, None)
+
+    def test_parse_error_then_good_call(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["efficiency-curve", "--plr", "x"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        code, out, err = run_cli(["efficiency-curve", "--plr", "0.1"], capsys)
+        assert (code, err) == (0, "")
+        assert out.startswith("N,plr0.1\n")
+
+    def test_parser_built_once(self, monkeypatch, capsys):
+        built = []
+        build = cli.build_parser
+
+        def counting_build():
+            built.append(1)
+            return build()
+
+        monkeypatch.setattr(cli, "build_parser", counting_build)
+        for _ in range(3):
+            assert run_cli(["efficiency-curve", "--plr", "0.1"], capsys)[0] == 0
+        assert len(built) == 1
+
 
 class TestValidateAndConfig:
+    def test_validate_report_pinned(self, capsys):
+        # The full default report, seeded: phase grid, exhaustive oracle
+        # and both Monte Carlo modes at 100 000 trials.
+        code, out, _ = run_cli(["validate", "--seed", "20240901"], capsys)
+        assert code == 0
+        assert hashlib.md5(out.encode()).hexdigest() == "9b200ec39ec670a1037a386fe0848740"
+
+    def test_failing_validate_report_is_written(self, tmp_path, capsys, monkeypatch):
+        # A FAIL report is a result: exit 1 replaces the file with it.
+        monkeypatch.setattr(cli, "expected_rank_increment", lambda n, ctx: -1.0)
+        target = tmp_path / "report.txt"
+        target.write_text("old content")
+        argv = ["validate", "--trials", "2000", "--out", str(target)]
+        assert run_cli(argv, capsys)[:2] == (1, "")
+        report = target.read_text()
+        assert "FAIL exhaustive-oracle" in report
+        assert report.endswith("3 failure(s)\n")
+
     def test_validate_passes_quick(self, capsys):
         code, out, _ = run_cli(
             ["validate", "--trials", "20000", "--seed", "11"], capsys

@@ -33,6 +33,7 @@ from bncagg.oracle import (
     _bernoulli,
     _Coefficients,
     _draw_ranks,
+    _group_pmf_brute,
     _word_bound,
     uniform_rank_pmf,
 )
@@ -317,6 +318,31 @@ class TestStreamEquivalence:
         hist = {k: v for k, v in enumerate(est.rank_histogram) if v}
         assert hist == {254: 1 / 6, 255: 1 / 3, 256: 0.5}
 
+    @pytest.mark.parametrize(
+        "mode, mean, std_error, hist",
+        [
+            (
+                RANK_COUNTING, 3.77429076548682, 0.014275098013074831,
+                (0.05513333333333333, 0.1096, 0.3522666666666667,
+                 0.3957333333333333, 0.08726666666666667),
+            ),
+            (
+                GF256_MATRIX, 3.773006119208574, 0.014268352617215532,
+                (0.05513333333333333, 0.10973333333333334, 0.3525333333333333,
+                 0.3956, 0.087),
+            ),
+        ],
+    )
+    def test_straddling_frames_pinned(self, mode, mean, std_error, hist):
+        # At N = 6 each period of M = 4 has two frames and a batch split
+        # over both; at PLR 0.35 about 1 header in 15 is lost, so the
+        # header mask and the per-trial sums both show here.
+        ctx = AggregationContext.build(
+            ChannelParams(baseline_plr=0.35), CODE, RankDistribution.truncated_binomial(4)
+        )
+        est = simulate_period(TrialConfig(ctx=ctx, n=6, seed=SEED, trials=5000, mode=mode))
+        assert (est.mean, est.std_error, est.rank_histogram) == (mean, std_error, hist)
+
     def test_throughput_mc_csv_pinned(self):
         # PLR 0 gives f = d = 1, the bound that no uint64 holds.
         out = io.StringIO()
@@ -386,6 +412,13 @@ class TestEnumeratePeriod:
         ctx = make_ctx(3, f=0.5, d=0.9)
         with pytest.raises(ParameterError):
             enumerate_period_exact(ctx, 2, field_size=q)
+
+    def test_group_pmf_is_cached_read_only(self):
+        pmf = _group_pmf_brute(3, 0.6, 0.85)
+        assert _group_pmf_brute(3, 0.6, 0.85) is pmf
+        assert not pmf.flags.writeable
+        with pytest.raises(ValueError):
+            pmf[0] = 1.0
 
     def test_size_guard(self):
         ctx = make_ctx(18, f=0.5, d=0.9)

@@ -9,7 +9,12 @@ from bncagg.phases import (
     case_ii_sk_pairs,
     phase_sequence,
 )
-from reference import case_i_phases, case_ii_partial_phases
+from reference import (
+    case_i_phases,
+    case_ii_partial_phases,
+    case_ii_sk_pairs_loop,
+    phase_sequence_loop,
+)
 
 
 class TestPhaseSequence:
@@ -110,6 +115,18 @@ class TestLineages:
                 assert all(
                     1 <= size <= n for groups in lineages for size in groups
                 )
+
+
+class TestLoopReference:
+    def test_phase_sequence_matches_loop(self):
+        for m in range(1, 65):
+            for n in range(1, 65):
+                assert phase_sequence(m, n) == phase_sequence_loop(m, n)
+
+    def test_sk_pairs_match_loop(self):
+        for m in range(1, 65):
+            for n in range(1, m):
+                assert case_ii_sk_pairs(m, n) == case_ii_sk_pairs_loop(m, n)
 
 
 class TestCountArguments:
