@@ -12,9 +12,9 @@ Subcommands:
 
 Exit codes: 0 success, 1 validation failure, 2 configuration error, 141
 (128 + SIGPIPE) when the reader of stdout closes it early, as ``| head``
-does; that case prints nothing to stderr.  ``--out FILE`` is written only
-when the command returns 0 or 1, so a failing run leaves an existing file
-as it was.
+does; that case prints nothing to stderr.  ``--out FILE`` must name a file
+in an existing directory, checked before the command runs, and is written
+only when the command returns 0 or 1, so a failing run leaves it as it was.
 
 ``main`` builds the argument parser once per process and reuses it on every
 call; ``build_parser`` still returns a fresh one.
@@ -187,11 +187,15 @@ def cmd_validate(config: ScenarioConfig, out: TextIO) -> int:
         )
         gap = abs(est.mean - analytical)
         limit = 3.0 * est.std_error
-        report(
-            f"monte-carlo-{mode}",
-            gap <= max(limit, 1e-12),
-            f"|empirical - analytical| = {gap:.3e}, 3se = {limit:.3e}",
-        )
+        ok = gap <= max(limit, 1e-12)
+        detail = f"|empirical - analytical| = {gap:.3e}, 3se = {limit:.3e}"
+        if est.mean == 0.0:
+            # Every trial read 0, so se = 0.  A period's increments sum to at most
+            # frames * N, E * d * frames on average: P(0) <= 1 - E * d / N.
+            chance = (1.0 - analytical * ctx.d / 4) ** config.trials
+            ok = chance >= 0.0027  # the two-sided 3-sigma level
+            detail = f"every trial read 0, which has chance <= {chance:.3e}"
+        report(f"monte-carlo-{mode}", ok, detail)
 
     out.write(f"{failures} failure(s)\n")
     return 1 if failures else 0
@@ -285,8 +289,10 @@ def main(argv: list[str] | None = None) -> int:
             status = _COMMANDS[args.command](config, sys.stdout)
             sys.stdout.flush()  # a closed pipe shows here, not at exit
             return status
-        # A command that fails raises before it returns, so the file is
-        # opened, and an existing one replaced, only for a result: 0 or 1.
+        # A path that cannot be opened is refused before the command runs, and
+        # a failing command raises, so the file is written only for 0 or 1.
+        if os.path.isdir(args.out) or not os.path.isdir(os.path.dirname(args.out) or "."):
+            raise ParameterError(f"--out {args.out!r} is not a file in an existing directory")
         buf = io.StringIO()
         status = _COMMANDS[args.command](config, buf)
         with open(args.out, "w", newline="") as handle:

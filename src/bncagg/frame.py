@@ -38,6 +38,7 @@ from .params import (
     ParameterError,
     RankDistribution,
     positive_int,
+    probability,
 )
 from .phases import batch_lineages
 from .probability import (
@@ -74,6 +75,14 @@ class AggregationContext:
                 "rank distribution has batch size"
                 f" {self.rank_dist.batch_size}, code has {self.code.batch_size}"
             )
+        try:  # every hop builds a context: one comparison, the rules only to raise
+            valid = 0.0 <= self.p < 1.0 and 0.0 <= self.d <= 1.0 and 0.0 <= self.f <= 1.0
+        except (TypeError, ValueError):  # not a number, or an array
+            valid = False
+        if not valid:
+            probability(self.p, "ber", below_one=True)
+            probability(self.d, "header survival")
+            probability(self.f, "packet survival")
 
     @classmethod
     def build(

@@ -55,7 +55,6 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,7 +62,8 @@ import numpy as np
 from .frame import AggregationContext, frame_size, optimize_n
 from .gf256 import gf256_rank_many
 from .network import NodeStrategy
-from .params import EnumerationSizeError, ParameterError, RankDistribution, positive_int
+from .params import EnumerationSizeError, ParameterError, RankDistribution
+from .params import nonnegative_int, positive_int
 from .phases import batch_lineages
 
 RANK_COUNTING = "rank_counting"
@@ -91,7 +91,7 @@ class TrialConfig:
     def __post_init__(self) -> None:
         positive_int(self.n)
         positive_int(self.trials, "trials")
-        _check_seed(self.seed)
+        nonnegative_int(self.seed, "seed")
         if self.mode not in (RANK_COUNTING, GF256_MATRIX):
             raise ParameterError(f"unknown mode {self.mode!r}")
 
@@ -113,16 +113,6 @@ class HopEstimate:
     n: int
     throughput: float
     std_error: float
-
-
-def _check_seed(seed) -> None:
-    """A seed is an integer >= 0, as ``SeedSequence`` needs; numpy integers pass."""
-    try:
-        valid = operator.index(seed) >= 0
-    except TypeError:
-        valid = False
-    if not valid:
-        raise ParameterError(f"seed must be a nonnegative integer, got {seed!r}")
 
 
 def _chunk_rng(seed: int, *key: int) -> np.random.Generator:
@@ -347,7 +337,7 @@ def enumerate_period_exact(
     """
     if field_size is None:
         rank = min
-    elif _is_prime_power(field_size):
+    elif _is_prime_power(field_size := positive_int(field_size, "field size")):
         def rank(j: int, r: int) -> float:
             return sum(k * p for k, p in enumerate(uniform_rank_pmf(j, r, field_size)))
     else:
@@ -393,8 +383,8 @@ def uniform_rank_pmf(j: int, r: int, q: int) -> list[float]:
     return pmf
 
 
-def _is_prime_power(q: object) -> bool:
-    if not isinstance(q, int) or q < 2:
+def _is_prime_power(q: int) -> bool:
+    if q < 2:
         return False
     p = next((p for p in range(2, math.isqrt(q) + 1) if q % p == 0), q)
     while q % p == 0:
@@ -433,7 +423,7 @@ def simulate_end_to_end(
     """
     hops = positive_int(hops, "hops")
     trials = positive_int(trials, "trials")
-    _check_seed(seed)
+    seed = nonnegative_int(seed, "seed")
     m = ctx.code.batch_size
     payload = ctx.code.payload
     records = []

@@ -1,8 +1,15 @@
-"""Parameter types shared by the analytical model and the simulators."""
+"""Parameter types shared by the analytical model and the simulators.
+
+Each scalar rule is stated here once, and every check of such a value calls it:
+``positive_int`` (a count), ``nonnegative_int`` (a byte size or a seed) and
+``probability`` (d, f or a success rate in [0, 1]; a PLR or a BER in [0, 1)).
+Numpy numbers of any width pass; NaN, None, strings and arrays raise.
+"""
 
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 
@@ -39,6 +46,25 @@ def positive_int(value, name: str = "aggregation count") -> int:
     return count
 
 
+def nonnegative_int(value, name: str) -> int:
+    """``value`` as a Python int >= 0; numpy integers pass, floats do not."""
+    try:
+        count = operator.index(value)
+    except TypeError:
+        count = -1  # not an integer: rejected below with the same message
+    if count < 0:
+        raise ParameterError(f"{name} must be a nonnegative integer, got {value!r}")
+    return count
+
+
+def probability(value, name: str, below_one: bool = False) -> float:
+    """``value`` as a Python float in [0, 1], or in [0, 1) if ``below_one``."""
+    if isinstance(value, numbers.Real) and 0.0 <= value <= 1.0:
+        if value < 1.0 or not below_one:
+            return float(value)
+    raise ParameterError(f"{name} must be in [0, 1{')' if below_one else ']'}, got {value!r}")
+
+
 CHECKSUM = "checksum"
 FEC = "fec"
 
@@ -67,16 +93,11 @@ class ChannelParams:
 
     def __post_init__(self) -> None:
         for name in ("max_payload", "proto_header", "dl_header", "dl_trailer"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or value < 0:
-                raise ParameterError(
-                    f"{name} must be a nonnegative integer, got {value!r}"
-                )
+            object.__setattr__(self, name, nonnegative_int(getattr(self, name), name))
         if (self.baseline_plr is None) == (self.ber is None):
             raise ParameterError("exactly one of baseline_plr or ber must be set")
         loss = self.baseline_plr if self.ber is None else self.ber
-        if not (isinstance(loss, (int, float)) and 0.0 <= loss < 1.0):
-            raise ParameterError(f"loss rate must be in [0, 1), got {loss!r}")
+        probability(loss, "loss rate", below_one=True)
 
 
 @dataclass(frozen=True)
@@ -97,16 +118,9 @@ class CodeParams:
     integrity_mode: str = CHECKSUM
 
     def __post_init__(self) -> None:
-        if not isinstance(self.batch_size, int) or self.batch_size < 1:
-            raise ParameterError(f"batch_size must be >= 1, got {self.batch_size!r}")
-        if not isinstance(self.payload, int) or self.payload < 1:
-            raise ParameterError(f"payload must be >= 1, got {self.payload!r}")
-        for name in ("bnc_header", "integrity"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or value < 0:
-                raise ParameterError(
-                    f"{name} must be a nonnegative integer, got {value!r}"
-                )
+        for name in ("batch_size", "payload", "bnc_header", "integrity"):
+            rule = positive_int if name in ("batch_size", "payload") else nonnegative_int
+            object.__setattr__(self, name, rule(getattr(self, name), name))
         if self.integrity_mode not in (CHECKSUM, FEC):
             raise ParameterError(
                 f"integrity_mode must be {CHECKSUM!r} or {FEC!r},"
@@ -174,6 +188,7 @@ class RankDistribution:
     @classmethod
     def degenerate(cls, batch_size: int, rank: int | None = None) -> "RankDistribution":
         """All mass on one rank (defaults to the full batch size)."""
+        batch_size = positive_int(batch_size, "batch_size")
         if rank is None:
             rank = batch_size
         if not 1 <= rank <= batch_size:
@@ -185,5 +200,6 @@ class RankDistribution:
         """Binomial(M, success) masses over 1..M, renormalized without rank 0."""
         from .probability import binom_pmf
 
+        batch_size = positive_int(batch_size, "batch_size")
         masses = [binom_pmf(r, batch_size, success) for r in range(1, batch_size + 1)]
         return cls.from_masses(masses)

@@ -9,14 +9,14 @@ from __future__ import annotations
 import math
 
 from .params import CHECKSUM, ChannelParams, CodeParams, ParameterError
+from .params import nonnegative_int, probability
 
 
 def binom_pmf(k: int, n: int, x: float) -> float:
     """P[Binomial(n, x) = k], stable for n up to ~1e4."""
     if not 0 <= k <= n:
         raise ParameterError(f"need 0 <= k <= n, got k={k}, n={n}")
-    if not 0.0 <= x <= 1.0:
-        raise ParameterError(f"success probability must be in [0, 1], got {x!r}")
+    x = probability(x, "success probability")
     if x == 0.0:
         return 1.0 if k == 0 else 0.0
     if x == 1.0:
@@ -34,13 +34,10 @@ def bin_d_pmf(k: int, n: int, f: float, d: float) -> float:
     payload is lost, which folds into the k = 0 branch.  Each packet in a
     delivered payload survives independently with probability ``f``.
     """
-    if not 0.0 <= d <= 1.0:
-        raise ParameterError(f"header survival must be in [0, 1], got {d!r}")
+    d = probability(d, "header survival")
+    f = probability(f, "packet survival")
     if k == 0:
-        if not 0 <= n:
-            raise ParameterError(f"need n >= 0, got n={n}")
-        if not 0.0 <= f <= 1.0:
-            raise ParameterError(f"packet survival must be in [0, 1], got {f!r}")
+        nonnegative_int(n, "n")
         return (1.0 - d) + d * (1.0 - f) ** n
     return d * binom_pmf(k, n, f)
 
@@ -51,8 +48,7 @@ def ber_from_plr(plr: float, channel: ChannelParams, code: CodeParams) -> float:
     The baseline frame carries a single BNC packet with no integrity field,
     so the exponent counts P + P_DL + Q + H + K bytes (F excluded).
     """
-    if not 0.0 <= plr < 1.0:
-        raise ParameterError(f"plr must be in [0, 1), got {plr!r}")
+    plr = probability(plr, "plr", below_one=True)
     bits = 8 * (
         channel.proto_header
         + channel.dl_header
@@ -65,8 +61,7 @@ def ber_from_plr(plr: float, channel: ChannelParams, code: CodeParams) -> float:
 
 def header_survival(p: float, channel: ChannelParams) -> float:
     """Probability d that the non-corruptible protocol bytes arrive intact."""
-    if not 0.0 <= p < 1.0:
-        raise ParameterError(f"ber must be in [0, 1), got {p!r}")
+    p = probability(p, "ber", below_one=True)
     bits = 8 * (channel.proto_header + channel.dl_header)
     return (1.0 - p) ** bits
 
@@ -78,12 +73,11 @@ def bnc_packet_survival(p: float, code: CodeParams) -> float:
     error correcting code over byte symbols that corrects up to F // 2
     symbol errors; miscorrection is not modeled.
     """
-    if not 0.0 <= p < 1.0:
-        raise ParameterError(f"ber must be in [0, 1), got {p!r}")
+    p = probability(p, "ber", below_one=True)
     size = code.packet_size
     if code.integrity_mode == CHECKSUM:
         return (1.0 - p) ** (8 * size)
     symbol_error = -math.expm1(8.0 * math.log1p(-p)) if p > 0.0 else 0.0
-    return sum(
-        binom_pmf(e, size, symbol_error) for e in range(code.integrity // 2 + 1)
-    )
+    errors = range(code.integrity // 2 + 1)
+    # At a tiny BER the partial sum of the pmf can round to just above 1.
+    return min(sum(binom_pmf(e, size, symbol_error) for e in errors), 1.0)

@@ -9,11 +9,12 @@ are checked once, when the ``ScenarioConfig`` is built.
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .frame import AggregationContext
 from .network import NodeStrategy
 from .params import CHECKSUM, FEC, ChannelParams, CodeParams, ParameterError, RankDistribution
+from .params import nonnegative_int, positive_int
 
 BOTH = "both"
 
@@ -44,12 +45,9 @@ class ScenarioConfig:
     mc: bool = False
 
     def __post_init__(self) -> None:
-        if self.trials < 1:
-            raise ParameterError(f"trials must be >= 1, got {self.trials!r}")
-        if self.seed < 0:
-            raise ParameterError(f"seed must be >= 0, got {self.seed!r}")
-        if self.hops < 1:
-            raise ParameterError(f"hops must be >= 1, got {self.hops!r}")
+        positive_int(self.trials, "trials")
+        nonnegative_int(self.seed, "seed")
+        positive_int(self.hops, "hops")
         if not self.plrs:
             raise ParameterError("plrs must name at least one PLR")
         if not self.strategies:
@@ -72,8 +70,6 @@ class ScenarioConfig:
         )
 
     def code(self, mode: str) -> CodeParams:
-        if mode not in (CHECKSUM, FEC):
-            raise ParameterError(f"unknown integrity mode {mode!r}")
         header = self.bnc_header
         if header is None:
             header = self.batch_size + 2
@@ -143,21 +139,10 @@ def parse_rank_dist(text: str, batch_size: int) -> RankDistribution:
     )
 
 
-_INT_KEYS = {
-    "mtu",
-    "proto_header",
-    "dl_header",
-    "dl_trailer",
-    "batch_size",
-    "payload",
-    "bnc_header",
-    "checksum_bytes",
-    "fec_bytes",
-    "hops",
-    "seed",
-    "trials",
-}
-_STR_KEYS = {"integrity", "rank_dist"}
+# An INI key that names a field takes its type (the annotations are strings).
+_FIELD_TYPES = {field.name: field.type for field in fields(ScenarioConfig)}
+_INT_KEYS = {key for key, kind in _FIELD_TYPES.items() if kind in ("int", "int | None")}
+_STR_KEYS = {key for key, kind in _FIELD_TYPES.items() if kind == "str"}
 
 
 def read_config_file(path: str) -> dict:

@@ -17,6 +17,7 @@ from bncagg import (
     ChannelParams,
     CodeParams,
     NodeStrategy,
+    PeriodEstimate,
     RankDistribution,
     frame_efficiency,
     simulate_line_network,
@@ -193,6 +194,19 @@ class TestThroughput:
         assert err.startswith("error: ")
         assert target.read_text() == "old content"
 
+    @pytest.mark.parametrize("where", ["directory", "missing-folder"])
+    def test_unusable_output_path_is_refused_before_the_command(
+        self, tmp_path, capsys, monkeypatch, where
+    ):
+        # Fails at the parent: the command ran, then the open failed.
+        target = tmp_path if where == "directory" else tmp_path / "gone" / "x.csv"
+        ran = []
+        monkeypatch.setitem(cli._COMMANDS, "efficiency-curve", lambda *a: ran.append(a))
+        code, out, err = run_cli(["efficiency-curve", "--out", str(target)], capsys)
+        assert (code, out, ran) == (2, "", [])
+        assert err == f"error: --out {str(target)!r} is not a file in an existing directory\n"
+        assert sorted(tmp_path.iterdir()) == []
+
 
 class TestParserReuse:
     """``main`` reuses one parser; no call may see what an earlier one parsed."""
@@ -255,6 +269,24 @@ class TestValidateAndConfig:
         report = target.read_text()
         assert "FAIL exhaustive-oracle" in report
         assert report.endswith("3 failure(s)\n")
+
+    def test_validate_passes_when_no_trial_receives_a_packet(self, capsys):
+        # Fails at the parent: every trial reads 0, se = 0, and both Monte
+        # Carlo lines FAILed working code.
+        code, out, _ = run_cli(["validate", "--plr", "0.999999", "--trials", "100"], capsys)
+        assert code == 0
+        assert out.count("every trial read 0, which has chance <= 9.999e-01") == 2
+
+    def test_all_zero_estimate_fails_where_zero_is_unlikely(self, capsys, monkeypatch):
+        def all_zero(config):
+            hist = (1.0,) + (0.0,) * config.ctx.code.batch_size
+            return PeriodEstimate(0.0, 0.0, config.trials, config.mode, hist)
+
+        monkeypatch.setattr(cli, "simulate_period", all_zero)
+        code, out, _ = run_cli(["validate", "--plr", "0.1", "--trials", "100000"], capsys)
+        assert code == 1
+        assert out.count("FAIL monte-carlo-") == 2
+        assert "every trial read 0, which has chance <= 0.000e+00" in out
 
     def test_validate_passes_quick(self, capsys):
         code, out, _ = run_cli(
@@ -368,7 +400,7 @@ class TestConfigBoundary:
             ["throughput", "--mc", "--trials", "-5", "--hops", "2"], capsys
         )
         assert code == 2
-        assert "trials must be >= 1" in err
+        assert "trials must be a positive integer" in err
 
     def test_too_few_batches_for_one_period(self, capsys, recwarn):
         code, _, err = run_cli(
@@ -383,9 +415,9 @@ class TestConfigBoundary:
     @pytest.mark.parametrize(
         "args,message",
         [
-            (["efficiency-curve", "--hops", "0"], "hops must be >= 1"),
+            (["efficiency-curve", "--hops", "0"], "hops must be a positive integer"),
             (["throughput", "--mc", "--seed", "-1", "--hops", "1", "--trials", "10"],
-             "seed must be >= 0"),
+             "seed must be a nonnegative integer"),
             (["throughput", "--mc", "--strategy", "fixed:0", "--hops", "1", "--trials", "10"],
              "bad fixed strategy"),
         ],
@@ -487,6 +519,10 @@ class TestConfigBoundary:
             {"integrity": "crc"},
             {"integrity": "both", "fec_bytes": 0},
             {"batch_size": 3, "rank_dist": "explicit:0.5,0.5"},
+            # Accepted at the parent, which compared without checking the type:
+            {"trials": 1.5},
+            {"hops": 2.5},
+            {"seed": 1.5},
         ],
     )
     def test_config_checks_its_fields_when_built(self, fields):

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import hashlib
 import io
 import math
@@ -22,6 +23,7 @@ from bncagg import (
     simulate_line_network,
     simulate_period,
 )
+from bncagg.probability import bin_d_pmf
 from bncagg.gf256 import GF_INV, GF_MUL_TABLE, gf256_rank_many
 from bncagg.cli import main
 from bncagg.oracle import (
@@ -480,6 +482,11 @@ def _line(hops):
     return simulate_line_network(hops, NodeStrategy.fixed(1), _BOUNDARY_CTX)
 
 
+def _replace(**fields):
+    # A context built by hand, as the oracles' callers may build one.
+    return dataclasses.replace(_BOUNDARY_CTX, **fields)
+
+
 @pytest.mark.parametrize(
     "call, message",
     [
@@ -498,12 +505,28 @@ def _line(hops):
         (lambda: _end_to_end(trials=0), "trials must be a positive integer"),
         (lambda: _end_to_end(trials=10.0), "trials must be a positive integer"),
         (lambda: _end_to_end(seed=-1), "seed must be a nonnegative integer"),
+        # From here on each case fails at the parent, which returned a value,
+        # raised another error or worded the message its own way.
+        (lambda: _replace(d=1.5), "header survival must be in"),
+        (lambda: _replace(d=math.nan), "header survival must be in"),
+        (lambda: _replace(f=-0.5), "packet survival must be in"),
+        (lambda: _replace(f=1.5), "packet survival must be in"),
+        (lambda: _replace(f=math.nan), "packet survival must be in"),
+        (lambda: CodeParams(4.0, 256, 6, 2), "batch_size must be a positive integer"),
+        (lambda: RankDistribution.degenerate(0), "batch_size must be a positive integer"),
+        (lambda: RankDistribution.truncated_binomial(0), "batch_size must be a positive"),
+        (lambda: enumerate_period_exact(_BOUNDARY_CTX, 2, field_size=1.5),
+         "field size must be a positive integer"),
+        (lambda: bin_d_pmf(1, 3, 1.5, 0.9), "packet survival must be in"),
     ],
     ids=[
         "period-n-zero", "period-n-float", "period-n-str", "period-trials-float",
         "period-trials-str", "period-seed-negative", "period-seed-float",
         "strategy-n-str", "strategy-n-float", "line-hops-str", "line-hops-float",
         "e2e-hops-str", "e2e-trials-zero", "e2e-trials-float", "e2e-seed-negative",
+        "ctx-d-above-one", "ctx-d-nan", "ctx-f-negative", "ctx-f-above-one",
+        "ctx-f-nan", "code-batch-float", "degenerate-zero", "binomial-zero",
+        "field-size-float", "bin-d-f-above-one",
     ],
 )
 def test_library_counts_are_checked(call, message):
@@ -519,3 +542,23 @@ def test_library_counts_accept_numpy_integers(to_numpy):
     assert _end_to_end(to_numpy(2), to_numpy(SEED), to_numpy(10)) == _end_to_end()
     assert _line(to_numpy(2)) == _line(2)
     assert NodeStrategy.fixed(to_numpy(1)).select(optimize_n(_BOUNDARY_CTX)[1]) == 1
+    # Each of these raised a ParameterError at the parent.
+    sizes = dict(max_payload=9000, proto_header=28, dl_header=22, dl_trailer=4)
+    channel = ChannelParams(**{k: to_numpy(v) for k, v in sizes.items()}, baseline_plr=0.1)
+    code = CodeParams(to_numpy(4), to_numpy(256), to_numpy(6), to_numpy(2))
+    assert code == CodeParams(4, 256, 6, 2)
+    assert type(code.batch_size) is int and type(channel.max_payload) is int
+    ctx = AggregationContext.build(channel, code)
+    assert optimize_n(ctx) == optimize_n(AggregationContext.build(CH, CODE))
+    exact = enumerate_period_exact(ctx, 3, field_size=256)
+    assert enumerate_period_exact(ctx, 3, field_size=to_numpy(256)) == exact
+
+
+@pytest.mark.parametrize("to_numpy", [np.float16, np.float32, np.float64])
+def test_library_probabilities_accept_numpy_floats(to_numpy):
+    # An np.float32 PLR raised a ParameterError at the parent.
+    plr = to_numpy(0.25)  # exact in every width
+    assert AggregationContext.build(ChannelParams(baseline_plr=plr), CODE) == (
+        AggregationContext.build(ChannelParams(baseline_plr=0.25), CODE)
+    )
+    assert bin_d_pmf(1, 3, to_numpy(0.5), to_numpy(0.75)) == bin_d_pmf(1, 3, 0.5, 0.75)

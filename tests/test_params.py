@@ -1,6 +1,11 @@
-"""RankDistribution: the same checks and masses through every entry point."""
+"""RankDistribution: the same checks and masses through every entry point.
+
+Also the guard that keeps every scalar rule in ``params.py``.
+"""
 
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -126,3 +131,26 @@ class TestOverflowingTotal:
     def test_finite_sums_keep_their_float_operations(self):
         masses = [1e307, 3e307, 5e307]  # close to the limit, but the sum fits
         assert RankDistribution.from_masses(masses).masses == parent_normalize(masses)
+
+
+# Each scalar rule lives in params.py.  Outside it, these are copies of one.
+_RULE_COPIES = {
+    "operator.index": re.compile(r"operator\.index"),
+    "isinstance(..., int/float)": re.compile(r"isinstance\([^)]*\b(int|float)\b"),
+    "'must be in [0, 1' message": re.compile(r"must be in \[0, 1"),
+    "'must be >=' message": re.compile(r"must be >="),
+    "'must be a ... integer' message": re.compile(r"must be a (positive|nonnegative) integer"),
+}
+
+
+def test_scalar_rules_are_written_only_in_params():
+    src = Path(__file__).resolve().parent.parent / "src" / "bncagg"
+    found = [
+        f"{path.name}:{number}: {kind}: {line.strip()}"
+        for path in sorted(src.glob("*.py"))
+        if path.name != "params.py"
+        for number, line in enumerate(path.read_text().splitlines(), start=1)
+        for kind, pattern in _RULE_COPIES.items()
+        if pattern.search(line)
+    ]
+    assert not found, "\n".join(found)

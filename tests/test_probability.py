@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bncagg import ChannelParams, CodeParams, ParameterError
+from bncagg import AggregationContext, ChannelParams, CodeParams, ParameterError, optimize_n
 from bncagg.probability import (
     ber_from_plr,
     bin_d_pmf,
@@ -138,3 +138,16 @@ class TestSurvivalProbabilities:
         good = (1.0 - p) ** 8
         expect = good**size + size * (1 - good) * good ** (size - 1)
         assert bnc_packet_survival(p, fec) == pytest.approx(expect, rel=1e-12)
+
+    def test_fec_survival_stays_a_probability(self):
+        # At this tiny BER the partial pmf sum rounds to 1 + 2^-52, which the
+        # parent returned as f; every model call on that context then raised
+        # "packet survival must be in [0, 1]".
+        fec = CodeParams(
+            batch_size=4, payload=256, bnc_header=6, integrity=8, integrity_mode="fec"
+        )
+        channel = ChannelParams(baseline_plr=2.229975029531505e-05)
+        p = ber_from_plr(channel.baseline_plr, channel, fec)
+        assert bnc_packet_survival(p, fec) == 1.0
+        ctx = AggregationContext.build(channel, fec)
+        assert optimize_n(ctx)[0] >= 1
