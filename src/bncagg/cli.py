@@ -41,7 +41,7 @@ from .oracle import (
     simulate_end_to_end,
     simulate_period,
 )
-from .params import CHECKSUM, ParameterError, RankDistribution
+from .params import ParameterError, RankDistribution
 from .phases import case_ii_sk_pairs, phase_sequence
 from .scenario import BOTH, ScenarioConfig, read_config_file
 
@@ -67,14 +67,20 @@ def _write_csv(out: TextIO, header: list[str], rows: Iterable[list[str]]) -> Non
         out.write(",".join(row) + "\n")
 
 
-def cmd_efficiency_curve(config: ScenarioConfig, out: TextIO) -> int:
+def _single_mode(config: ScenarioConfig, command: str) -> str:
+    """The one integrity mode ``command`` runs in; ``both`` is a usage error."""
     if config.integrity == BOTH:
-        raise ParameterError("efficiency-curve needs a single integrity mode")
+        raise ParameterError(f"{command} needs a single integrity mode")
+    return config.integrity
+
+
+def cmd_efficiency_curve(config: ScenarioConfig, out: TextIO) -> int:
+    mode = _single_mode(config, "efficiency-curve")
     header = ["N"] + [f"plr{_fmt(plr)}" for plr in config.plrs]
     _check_labels(header)
     profiles = []
     for plr in config.plrs:
-        ctx = config.context(plr, config.integrity)
+        ctx = config.context(plr, mode)
         profiles.append(optimize_n(ctx)[1])
     n_max = profiles[0].n_max
     rows = (
@@ -116,6 +122,7 @@ def cmd_throughput(config: ScenarioConfig, out: TextIO) -> int:
 
 
 def cmd_validate(config: ScenarioConfig, out: TextIO) -> int:
+    mode_name = _single_mode(config, "validate")
     if config.trials < 100:  # fewer trials can all agree: se = 0 FAILs working code
         raise ParameterError(f"validate needs --trials >= 100, got {config.trials}")
     failures = 0
@@ -149,7 +156,6 @@ def cmd_validate(config: ScenarioConfig, out: TextIO) -> int:
 
     # Analytical E against the exhaustive enumeration oracle.  With f and d
     # pinned, the channel only sizes the reception table: fit N = 1..5.
-    mode_name = CHECKSUM if config.integrity == BOTH else config.integrity
     base = config.context(0.1, mode_name)
     max_delta = 0.0
     argmax = None

@@ -8,14 +8,13 @@ of the model's cached reception table.  Batches that fall to rank 0 stay in the
 pipeline (they still cost bytes); their mass is tracked in a separate bucket
 and the per-hop efficiency is scaled by the probability of rank >= 1.
 
-Each hop runs one ``optimize_n`` scan under its incoming rank distribution:
-the strategy picks N from the scan's profile and the hop records the
-profile's entry for that N.  The scan reads the model's cached plan (the
-reception table, N / M and the frame sizes S(N)), so a warm hop pays for the
-product with its own rank distribution and little else.  The transition
-depends on the rank distribution only through N, so ``frame._transition``
-builds it the first time a hop asks for it and keeps it, read-only, in the
-same plan.
+Each hop's N has one owner, ``NodeStrategy.choose``, which this network and
+``oracle.simulate_end_to_end`` both call: one ``optimize_n`` scan under the
+hop's incoming rank distribution, from whose profile the strategy picks N.
+The scan reads the model's cached plan (reception table, N / M, frame sizes
+S(N)), so a warm hop pays for little but the product with its own ranks.  The
+transition depends on the ranks only through N; ``frame._transition`` builds
+it on first use and keeps it, read-only, in the same plan.
 """
 
 from __future__ import annotations
@@ -76,6 +75,20 @@ class NodeStrategy:
             raise InfeasibleError(f"fixed N={self.n} is not feasible")
         return self.n
 
+    def choose(
+        self, hop: int, masses: np.ndarray, ctx: AggregationContext
+    ) -> tuple[AggregationContext, EfficiencyProfile, int]:
+        """(local context, scan profile, N) at ``hop``; ``masses`` weigh ranks 1..M."""
+        try:  # all-zero masses raise here, so a live hop makes no extra pass
+            ranks = RankDistribution.from_masses(masses)
+        except ParameterError:
+            if masses.any():  # some other fault, such as a NaN mass
+                raise
+            raise ParameterError(f"population extinct before hop {hop}") from None
+        local = ctx.with_rank_dist(ranks)
+        profile = optimize_n(local)[1]
+        return local, profile, self.select(profile)
+
     def label(self) -> str:
         return f"fixed{self.n}" if self.kind == FIXED else self.kind
 
@@ -125,19 +138,10 @@ def simulate_line_network(
     full[m] = 1.0
     records = []
     for hop in range(1, hops + 1):
+        local, profile, n = strategy.choose(hop, full[1:], ctx)
         delivered = float(full[1:].sum())
-        if delivered == 0.0:  # every batch fell to rank 0, or its mass underflowed
-            raise ParameterError(f"population extinct before hop {hop}")
-        cond = RankDistribution.from_masses(full[1:])
-        local = ctx.with_rank_dist(cond)
-        profile = optimize_n(local)[1]
-        n = strategy.select(profile)
         eff = delivered * profile.value(n)
-        records.append(
-            HopRecord(
-                hop=hop, n=n, rank_dist=cond, delivered=delivered, efficiency=eff
-            )
-        )
+        records.append(HopRecord(hop, n, local.rank_dist, delivered, eff))
         full = _evolve_full(full, n, local)
     return HopTrace(tuple(records))
 

@@ -42,10 +42,11 @@ with small probability, so its mean sits about 5e-4 (relative) below the
 large-field E; its exact reference is
 ``enumerate_period_exact(ctx, n, field_size=256)``.
 
-The simulators share no code with the model.  ``enumerate_period_exact``
-walks the same ``batch_lineages`` as the model's lineage reception pmf and
-differs from it only in its brute-force group pmf, so a fault in the lineage
-walk would escape it; the tests catch such a fault with the phase-average
+``simulate_period`` shares no code with the model; ``simulate_end_to_end``
+takes each hop's N from ``NodeStrategy.choose``, as the exact line network
+does.  ``enumerate_period_exact`` walks the model's ``batch_lineages`` and
+differs from the model only in its brute-force group pmf, so a fault in the
+lineage walk would escape it; the tests catch one with the phase-average
 terms of ``tests/reference.py`` and with enumerations that split batches
 with their own loop.  That group pmf is cached read-only per (size, f, d):
 ``validate`` asks for the same ten about two thousand times.
@@ -59,7 +60,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .frame import AggregationContext, frame_size, optimize_n
+from .frame import AggregationContext, frame_size
 from .gf256 import gf256_rank_many
 from .network import NodeStrategy
 from .params import EnumerationSizeError, ParameterError, RankDistribution
@@ -418,8 +419,8 @@ def simulate_end_to_end(
     """Empirical throughput per byte on each hop of a line network.
 
     ``trials`` is the period count simulated at each hop; the batch
-    population starts at full rank and is carried hop to hop.  N is chosen
-    per hop from the empirical rank histogram of the surviving population.
+    population starts at full rank and is carried hop to hop.  Each hop's N
+    is ``strategy.choose`` on the histogram of ranks 1..M of the population.
     """
     hops = positive_int(hops, "hops")
     trials = positive_int(trials, "trials")
@@ -430,12 +431,7 @@ def simulate_end_to_end(
     # About `trials` periods at N = M.
     ranks = np.full(trials * m, m, dtype=np.min_scalar_type(m))
     for hop in range(1, hops + 1):
-        positive = ranks[ranks > 0]
-        if positive.size == 0:
-            raise ParameterError(f"population extinct before hop {hop}")
-        hist = np.bincount(positive, minlength=m + 1)[1 : m + 1]
-        local = ctx.with_rank_dist(RankDistribution.from_masses(hist))
-        n = strategy.select(optimize_n(local)[1])
+        local, _, n = strategy.choose(hop, np.bincount(ranks, minlength=m + 1)[1:], ctx)
         period = math.lcm(m, n)
         per_period = period // m
         frames = period // n

@@ -189,9 +189,8 @@ class RankDistribution:
     def degenerate(cls, batch_size: int, rank: int | None = None) -> "RankDistribution":
         """All mass on one rank (defaults to the full batch size)."""
         batch_size = positive_int(batch_size, "batch_size")
-        if rank is None:
-            rank = batch_size
-        if not 1 <= rank <= batch_size:
+        rank = batch_size if rank is None else positive_int(rank, "rank")
+        if rank > batch_size:
             raise ParameterError(f"rank must be in 1..{batch_size}, got {rank!r}")
         return cls(tuple(1.0 if r == rank else 0.0 for r in range(1, batch_size + 1)))
 

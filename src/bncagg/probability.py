@@ -14,7 +14,9 @@ from .params import nonnegative_int, probability
 
 def binom_pmf(k: int, n: int, x: float) -> float:
     """P[Binomial(n, x) = k], stable for n up to ~1e4."""
-    if not 0 <= k <= n:
+    k = nonnegative_int(k, "k")
+    n = nonnegative_int(n, "n")
+    if k > n:
         raise ParameterError(f"need 0 <= k <= n, got k={k}, n={n}")
     x = probability(x, "success probability")
     if x == 0.0:
@@ -36,9 +38,8 @@ def bin_d_pmf(k: int, n: int, f: float, d: float) -> float:
     """
     d = probability(d, "header survival")
     f = probability(f, "packet survival")
-    if k == 0:
-        nonnegative_int(n, "n")
-        return (1.0 - d) + d * (1.0 - f) ** n
+    if nonnegative_int(k, "k") == 0:
+        return (1.0 - d) + d * (1.0 - f) ** nonnegative_int(n, "n")
     return d * binom_pmf(k, n, f)
 
 

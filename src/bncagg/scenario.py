@@ -148,14 +148,18 @@ _STR_KEYS = {key for key, kind in _FIELD_TYPES.items() if kind == "str"}
 def read_config_file(path: str) -> dict:
     """The ``ScenarioConfig`` fields an INI file sets ([channel], [code], [run])."""
     parser = configparser.ConfigParser()
-    read = parser.read(path)
-    if not read:
-        raise ParameterError(f"cannot read config file {path!r}")
+    try:
+        if not parser.read(path):
+            raise ParameterError(f"cannot read config file {path!r}")
+        entries = {section: parser.items(section) for section in parser.sections()}
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        detail = " ".join(str(exc).split())  # configparser's messages span lines
+        raise ParameterError(f"bad config file {path!r}: {detail}") from exc
     updates: dict = {}
-    for section in parser.sections():
+    for section, items in entries.items():
         if section not in ("channel", "code", "run"):
             raise ParameterError(f"unknown config section [{section}]")
-        for key, raw in parser.items(section):
+        for key, raw in items:
             if key not in _INT_KEYS | _STR_KEYS | {"plr", "strategy", "mc"}:
                 raise ParameterError(f"unknown config key {key!r} in [{section}]")
             try:

@@ -296,6 +296,12 @@ class TestValidateAndConfig:
         assert "FAIL" not in out
         assert out.strip().endswith("0 failure(s)")
 
+    def test_validate_rejects_both_modes(self, capsys):
+        # `both` must not quietly check checksum mode alone and print PASS.
+        code, out, err = run_cli(["validate", "--integrity", "both"], capsys)
+        assert (code, out) == (2, "")
+        assert err == "error: validate needs a single integrity mode\n"
+
     @pytest.mark.parametrize("trials", ("1", "2", "99"))
     def test_validate_rejects_too_few_trials(self, trials, capsys):
         # With a handful of trials every trial agrees, se = 0, and the Monte
@@ -381,6 +387,27 @@ class TestConfigBoundary:
         assert code == 2
         assert err.startswith("error:")
         assert entry.split(" = ")[0] in err
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            b"plr = 0.1\n[run]\nhops = 2\n",
+            b"[run]\nhops = 2\n[run]\nhops = 3\n",
+            b"[run]\nhops = 2\nhops = 3\n",
+            b"[code]\nrank_dist = 50%\n",
+            b"\xff\xfe[run]\nhops = 2\n",
+        ],
+        ids=["no-section", "repeated-section", "repeated-key", "bare-percent", "not-utf8"],
+    )
+    def test_malformed_ini_is_usage_error(self, tmp_path, capsys, body):
+        # Not a traceback with exit 1, which a script reads as a failed check.
+        cfg = tmp_path / "scenario.ini"
+        cfg.write_bytes(body)
+        code, out, err = run_cli(["throughput", "--config", str(cfg)], capsys)
+        assert code == 2
+        assert err.startswith(f"error: bad config file {str(cfg)!r}: ")
+        assert err.count("\n") == 1
+        assert out == ""
 
     def test_throughput_rejects_rank_dist(self, tmp_path, capsys):
         args = ["throughput", "--hops", "2", "--plr", "0.2", "--strategy", "fixed:1"]

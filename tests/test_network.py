@@ -12,6 +12,7 @@ from bncagg import (
     frame_efficiency,
     max_feasible_n,
     optimize_n,
+    simulate_end_to_end,
     simulate_line_network,
 )
 from bncagg import frame, network
@@ -219,6 +220,22 @@ class TestHopCaches:
         assert len(calls) == 10
         assert calls == [rec.rank_dist for rec in trace.records]
 
+    def test_one_scan_per_hop_end_to_end(self, monkeypatch):
+        # The Monte Carlo line takes each hop's N from NodeStrategy.choose too.
+        calls = []
+
+        def counted(ctx):
+            calls.append(ctx.rank_dist)
+            return real(ctx)
+
+        real = frame.optimize_n
+        monkeypatch.setattr(frame, "optimize_n", counted)
+        monkeypatch.setattr(network, "optimize_n", counted)
+        ctx = self.fresh_ctx(0.61806)
+        estimates = simulate_end_to_end(ctx, 10, NodeStrategy.optimal(), 7, 500)
+        assert len(estimates) == len(calls) == 10
+        assert calls[0] == RankDistribution.degenerate(16)
+
     def test_cache_misses(self):
         # One plan for the scans and every hop; it keeps one transition per N.
         ctx = self.fresh_ctx(0.61804)
@@ -241,3 +258,18 @@ class TestHopCaches:
         assert not t.flags.writeable
         with pytest.raises(ValueError):
             t[0, 0] = 1.0
+
+
+@pytest.mark.parametrize(
+    "simulate",
+    [
+        lambda ctx: simulate_line_network(3, NodeStrategy.optimal(), ctx),
+        lambda ctx: simulate_end_to_end(ctx, 3, NodeStrategy.optimal(), 7, 200),
+    ],
+    ids=["exact", "mc"],
+)
+def test_both_line_networks_report_extinction_alike(simulate):
+    # With f = 0 the first hop takes every batch to rank 0 in both simulators.
+    with pytest.raises(ParameterError) as info:
+        simulate(make_ctx(4, f=0.0, d=0.9))
+    assert str(info.value) == "population extinct before hop 2"

@@ -23,7 +23,7 @@ from bncagg import (
     simulate_line_network,
     simulate_period,
 )
-from bncagg.probability import bin_d_pmf
+from bncagg.probability import bin_d_pmf, binom_pmf
 from bncagg.gf256 import GF_INV, GF_MUL_TABLE, gf256_rank_many
 from bncagg.cli import main
 from bncagg.oracle import (
@@ -518,6 +518,12 @@ def _replace(**fields):
         (lambda: enumerate_period_exact(_BOUNDARY_CTX, 2, field_size=1.5),
          "field size must be a positive integer"),
         (lambda: bin_d_pmf(1, 3, 1.5, 0.9), "packet survival must be in"),
+        (lambda: binom_pmf(1.5, 3, 0.5), "k must be a nonnegative integer"),
+        (lambda: binom_pmf(1, 2.5, 0.5), "n must be a nonnegative integer"),
+        (lambda: bin_d_pmf(1.5, 3, 0.5, 0.9), "k must be a nonnegative integer"),
+        (lambda: bin_d_pmf(1, 2.5, 0.5, 0.9), "n must be a nonnegative integer"),
+        (lambda: RankDistribution.degenerate(4, rank="x"), "rank must be a positive integer"),
+        (lambda: RankDistribution.degenerate(4, rank=2.0), "rank must be a positive integer"),
     ],
     ids=[
         "period-n-zero", "period-n-float", "period-n-str", "period-trials-float",
@@ -526,7 +532,8 @@ def _replace(**fields):
         "e2e-hops-str", "e2e-trials-zero", "e2e-trials-float", "e2e-seed-negative",
         "ctx-d-above-one", "ctx-d-nan", "ctx-f-negative", "ctx-f-above-one",
         "ctx-f-nan", "code-batch-float", "degenerate-zero", "binomial-zero",
-        "field-size-float", "bin-d-f-above-one",
+        "field-size-float", "bin-d-f-above-one", "binom-k-float", "binom-n-float",
+        "bin-d-k-float", "bin-d-n-float", "degenerate-rank-str", "degenerate-rank-float",
     ],
 )
 def test_library_counts_are_checked(call, message):
@@ -542,6 +549,8 @@ def test_library_counts_accept_numpy_integers(to_numpy):
     assert _end_to_end(to_numpy(2), to_numpy(SEED), to_numpy(10)) == _end_to_end()
     assert _line(to_numpy(2)) == _line(2)
     assert NodeStrategy.fixed(to_numpy(1)).select(optimize_n(_BOUNDARY_CTX)[1]) == 1
+    assert RankDistribution.degenerate(4, to_numpy(2)) == RankDistribution.degenerate(4, 2)
+    assert binom_pmf(to_numpy(1), to_numpy(3), 0.5) == binom_pmf(1, 3, 0.5)
     # Each of these raised a ParameterError at the parent.
     sizes = dict(max_payload=9000, proto_header=28, dl_header=22, dl_trailer=4)
     channel = ChannelParams(**{k: to_numpy(v) for k, v in sizes.items()}, baseline_plr=0.1)
