@@ -39,7 +39,7 @@ from .oracle import (
     TrialConfig,
     enumerate_period_exact,
     simulate_end_to_end,
-    simulate_period,
+    simulate_periods,
 )
 from .params import ParameterError, RankDistribution
 from .phases import case_ii_sk_pairs, phase_sequence
@@ -187,10 +187,8 @@ def cmd_validate(config: ScenarioConfig, out: TextIO) -> int:
     # Monte Carlo agreement, counting and finite-field modes.
     ctx = config.context(config.plrs[0], mode_name)
     analytical = expected_rank_increment(4, ctx)
-    for mode in (RANK_COUNTING, GF256_MATRIX):
-        est = simulate_period(
-            TrialConfig(ctx=ctx, n=4, seed=config.seed, trials=config.trials, mode=mode)
-        )
+    trial = TrialConfig(ctx=ctx, n=4, seed=config.seed, trials=config.trials)
+    for est in simulate_periods(trial, (RANK_COUNTING, GF256_MATRIX)):
         gap = abs(est.mean - analytical)
         limit = 3.0 * est.std_error
         ok = gap <= max(limit, 1e-12)
@@ -201,7 +199,7 @@ def cmd_validate(config: ScenarioConfig, out: TextIO) -> int:
             chance = (1.0 - analytical * ctx.d / 4) ** config.trials
             ok = chance >= 0.0027  # the two-sided 3-sigma level
             detail = f"every trial read 0, which has chance <= {chance:.3e}"
-        report(f"monte-carlo-{mode}", ok, detail)
+        report(f"monte-carlo-{est.mode}", ok, detail)
 
     out.write(f"{failures} failure(s)\n")
     return 1 if failures else 0

@@ -103,10 +103,11 @@ def gf256_rank_many(matrices: np.ndarray) -> np.ndarray:
     weight = np.arange(rows, 0, -1, dtype=rank.dtype)[:, None]
     key = np.empty((rows, count), dtype=rank.dtype)
     # Trailing columns are cleared `group` at a time, enough to fill 2^15
-    # entries when the matrices are large and few.  The product-table
-    # indices are built in an intp buffer, as np.take copies any other index
-    # type into a temporary intp array.
-    group = max(1, (1 << 15) // (rows * count))
+    # entries when the matrices are large and few, but never more than the
+    # cols - 1 that follow the first column.  The product-table indices are
+    # built in an intp buffer, as np.take copies any other index type into a
+    # temporary intp array.
+    group = min(cols - 1, max(1, (1 << 15) // (rows * count)))
     index = np.empty((group, rows, count), dtype=np.intp)
     product = np.empty((group, rows, count), dtype=np.uint8)
     # A stack of few matrices, or of matrices with many rows, reads the

@@ -26,6 +26,15 @@ define, but they skip the float64 and int64 arrays:
   out a word's low half, then its high half, so the coefficients are bytes
   3 and 7 of consecutive raw words (``_Coefficients``).
 
+The two modes read the same words in the same order up to the
+coefficients, which only ``gf256_matrix`` draws, and they are last.  So
+``simulate_periods`` serves both modes from one set of draws: per chunk it
+counts each batch's received packets once, takes the rank-counting
+increments min(received, rank) from them, then draws the coefficients,
+and each estimate is bit for bit the one ``simulate_period`` gives in its
+own mode.  Any draw added to a chunk must keep that order, or come after
+the coefficients.
+
 Raw words are drawn ``_BLOCK`` at a time, which bounds the draw buffers
 however many trials a chunk holds.  Counts and ranks use the narrowest
 unsigned type that holds M.
@@ -56,6 +65,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,6 +79,7 @@ from .phases import batch_lineages
 
 RANK_COUNTING = "rank_counting"
 GF256_MATRIX = "gf256_matrix"
+_MODES = (RANK_COUNTING, GF256_MATRIX)  # the order a chunk serves them in
 
 _CHUNK = 1 << 16
 _BLOCK = 1 << 18  # words drawn or coefficients ranked at once; 2 MiB of uint64
@@ -77,6 +88,11 @@ _MAX_ENUM_TERMS = 1 << 24
 # Bound on the cached brute-force group pmfs, each at most 24 floats (the
 # enumeration bound caps M at 23).
 _GROUP_CACHE_SIZE = 256
+
+
+def _check_mode(mode: str) -> None:
+    if mode not in _MODES:
+        raise ParameterError(f"unknown mode {mode!r}")
 
 
 @dataclass(frozen=True)
@@ -93,8 +109,7 @@ class TrialConfig:
         positive_int(self.n)
         positive_int(self.trials, "trials")
         nonnegative_int(self.seed, "seed")
-        if self.mode not in (RANK_COUNTING, GF256_MATRIX):
-            raise ParameterError(f"unknown mode {self.mode!r}")
+        _check_mode(self.mode)
 
 
 @dataclass(frozen=True)
@@ -205,19 +220,15 @@ def _chunks(seed: int, total: int, *key: int):
         yield slice(start, min(start + _CHUNK, total)), _chunk_rng(seed, *key, c)
 
 
-def _increments(
-    rng: np.random.Generator,
-    ctx: AggregationContext,
-    n: int,
-    ranks: np.ndarray,
-    mode: str,
+def _received_counts(
+    rng: np.random.Generator, ctx: AggregationContext, n: int, shape: tuple[int, int]
 ) -> np.ndarray:
-    """Per-batch rank increments of periods whose batches have ``ranks``.
+    """Packets received by each batch of a (trials, batches) array of periods.
 
-    Draws header losses, packet losses, then in gf256 mode the coefficients.
+    Draws header losses, then packet losses.
     """
     m = ctx.code.batch_size
-    trials, batches = ranks.shape
+    trials, batches = shape
     period = batches * m
     headers = _bernoulli(rng, ctx.d, (trials, period // n))
     received = _bernoulli(rng, ctx.f, (trials, period))
@@ -236,10 +247,7 @@ def _increments(
     counts = np.zeros((trials, batches), dtype=np.min_scalar_type(m))
     for i in range(m // w):
         counts += (words[:, :, i] * ones) >> top
-    del received, words  # not held through the GF(256) draws
-    if mode == RANK_COUNTING:
-        return np.minimum(counts, ranks)
-    return _gf_increments(rng, counts, ranks, m)
+    return counts
 
 
 def _gf_increments(
@@ -281,41 +289,66 @@ def _gf_increments(
     return inc.reshape(counts.shape)
 
 
-def simulate_period(config: TrialConfig) -> PeriodEstimate:
-    """Estimate E by simulating whole lcm(M, N)-packet periods.
+def simulate_periods(
+    config: TrialConfig, modes: Sequence[str]
+) -> tuple[PeriodEstimate, ...]:
+    """One estimate per entry of ``modes``, all read from one set of draws.
 
-    Unlike the analytical formulas, batches sharing a frame share its header
-    loss event here, so the estimate also probes that factorization.
+    ``config.mode`` is not read.  Each estimate is bit for bit the one
+    ``simulate_period`` gives in its mode: the modes draw the same ranks,
+    headers and packets, and only ``gf256_matrix`` draws more after them.
     """
+    modes = tuple(modes)
+    if not modes:
+        raise ParameterError("no mode to simulate")
+    for mode in modes:
+        _check_mode(mode)
     ctx, n = config.ctx, config.n
     m = ctx.code.batch_size
     if ctx.d <= 0.0:
         raise ParameterError("header survival is zero; E is undefined")
     frames = math.lcm(m, n) // n
     batches = math.lcm(m, n) // m
-    total = 0.0
-    total_sq = 0.0
-    hist = np.zeros(m + 1)
+    # Per mode, in the order a chunk serves them: the sum and the sum of
+    # squares of the per-trial increments, and the increment histogram.
+    sums = {mode: [0.0, 0.0, np.zeros(m + 1)] for mode in _MODES if mode in modes}
     for rows, rng in _chunks(config.seed, config.trials):
         ranks = _draw_ranks(rng, ctx.rank_dist, (rows.stop - rows.start, batches))
-        inc = _increments(rng, ctx, n, ranks, config.mode)
-        hist += np.bincount(inc.ravel(), minlength=m + 1)[: m + 1]
-        # Row sums of small integers are exact in float64, so these are the
-        # floats ``inc.sum(axis=1)`` gives; einsum casts in small buffers and
-        # pays far less per row of a few batches than that reduction does.
-        per_trial = np.einsum("ij->i", inc, dtype=np.float64) / (frames * ctx.d)
-        total += float(per_trial.sum())
-        total_sq += float((per_trial**2).sum())
-    mean = total / config.trials
-    var = max(total_sq / config.trials - mean**2, 0.0)
-    se = math.sqrt(var / config.trials)
-    return PeriodEstimate(
-        mean=mean,
-        std_error=se,
-        trials=config.trials,
-        mode=config.mode,
-        rank_histogram=tuple(hist / hist.sum()),
-    )
+        counts = _received_counts(rng, ctx, n, ranks.shape)
+        for mode, acc in sums.items():
+            if mode == RANK_COUNTING:
+                inc = np.minimum(counts, ranks)
+            else:
+                inc = _gf_increments(rng, counts, ranks, m)
+            acc[2] += np.bincount(inc.ravel(), minlength=m + 1)[: m + 1]
+            # Row sums of small integers are exact in float64, so these are the
+            # floats ``inc.sum(axis=1)`` gives; einsum casts in small buffers
+            # and pays far less per row of a few batches than that reduction.
+            per_trial = np.einsum("ij->i", inc, dtype=np.float64) / (frames * ctx.d)
+            acc[0] += float(per_trial.sum())
+            acc[1] += float((per_trial**2).sum())
+            del inc, per_trial  # not held through the GF(256) draws
+    estimates = {}
+    for mode, (total, total_sq, hist) in sums.items():
+        mean = total / config.trials
+        var = max(total_sq / config.trials - mean**2, 0.0)
+        estimates[mode] = PeriodEstimate(
+            mean=mean,
+            std_error=math.sqrt(var / config.trials),
+            trials=config.trials,
+            mode=mode,
+            rank_histogram=tuple(hist / hist.sum()),
+        )
+    return tuple(estimates[mode] for mode in modes)
+
+
+def simulate_period(config: TrialConfig) -> PeriodEstimate:
+    """Estimate E by simulating whole lcm(M, N)-packet periods.
+
+    Unlike the analytical formulas, batches sharing a frame share its header
+    loss event here, so the estimate also probes that factorization.
+    """
+    return simulate_periods(config, (config.mode,))[0]
 
 
 def enumerate_period_exact(
@@ -444,7 +477,8 @@ def simulate_end_to_end(
         used = ranks[: n_periods * per_period].reshape(n_periods, per_period)
         next_ranks = np.empty_like(used)
         for rows, rng in _chunks(seed, n_periods, hop):
-            next_ranks[rows] = _increments(rng, local, n, used[rows], RANK_COUNTING)
+            counts = _received_counts(rng, local, n, used[rows].shape)
+            np.minimum(counts, used[rows], out=next_ranks[rows])
         bytes_per_period = frames * frame_size(n, ctx.channel, ctx.code)
         per_period_tp = payload * next_ranks.sum(axis=1) / bytes_per_period
         mean = float(per_period_tp.mean())

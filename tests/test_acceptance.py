@@ -26,11 +26,10 @@ from bncagg import (
     max_feasible_n,
     optimize_n,
     simulate_line_network,
-    simulate_period,
 )
 from bncagg.cli import main
 from bncagg.gf256 import gf256_rank_many
-from bncagg.oracle import GF256_MATRIX, RANK_COUNTING, _chunk_rng
+from bncagg.oracle import GF256_MATRIX, RANK_COUNTING, _chunk_rng, simulate_periods
 from bncagg.phases import (
     batch_lineages,
     case_ii_sk_pairs,
@@ -186,10 +185,10 @@ def test_criterion_6_monte_carlo_agreement():
             RANK_COUNTING: large_field,
             GF256_MATRIX: enumerate_period_exact(ctx, n, field_size=256),
         }
-        for mode, reference in references.items():
-            est = simulate_period(
-                TrialConfig(ctx=ctx, n=n, seed=SEED, trials=1_000_000, mode=mode)
-            )
+        # Both modes read one set of draws, as each would alone.
+        config = TrialConfig(ctx=ctx, n=n, seed=SEED, trials=1_000_000)
+        estimates = simulate_periods(config, tuple(references))
+        for (mode, reference), est in zip(references.items(), estimates):
             z = (est.mean - reference) / est.std_error
             good = abs(z) <= 3.0
             ok &= good

@@ -259,6 +259,13 @@ class TestValidateAndConfig:
         assert code == 0
         assert hashlib.md5(out.encode()).hexdigest() == "9b200ec39ec670a1037a386fe0848740"
 
+    def test_validate_report_pinned_held_out_seed(self, capsys):
+        # The same report at a second seed, whose Monte Carlo lines read
+        # other draws than the first seed's.
+        code, out, _ = run_cli(["validate", "--seed", "20250517"], capsys)
+        assert code == 0
+        assert hashlib.md5(out.encode()).hexdigest() == "a044be8b5395504b412f9e372e6c0469"
+
     def test_failing_validate_report_is_written(self, tmp_path, capsys, monkeypatch):
         # A FAIL report is a result: exit 1 replaces the file with it.
         monkeypatch.setattr(cli, "expected_rank_increment", lambda n, ctx: -1.0)
@@ -278,11 +285,11 @@ class TestValidateAndConfig:
         assert out.count("every trial read 0, which has chance <= 9.999e-01") == 2
 
     def test_all_zero_estimate_fails_where_zero_is_unlikely(self, capsys, monkeypatch):
-        def all_zero(config):
+        def all_zero(config, modes):
             hist = (1.0,) + (0.0,) * config.ctx.code.batch_size
-            return PeriodEstimate(0.0, 0.0, config.trials, config.mode, hist)
+            return tuple(PeriodEstimate(0.0, 0.0, config.trials, mode, hist) for mode in modes)
 
-        monkeypatch.setattr(cli, "simulate_period", all_zero)
+        monkeypatch.setattr(cli, "simulate_periods", all_zero)
         code, out, _ = run_cli(["validate", "--plr", "0.1", "--trials", "100000"], capsys)
         assert code == 1
         assert out.count("FAIL monte-carlo-") == 2

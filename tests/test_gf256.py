@@ -73,7 +73,10 @@ class TestRankKernel:
             assert gf256_rank_many(mats[:count]).tolist() == expect[:count], count
 
     @pytest.mark.parametrize("kind", KINDS)
-    @pytest.mark.parametrize("rows, cols", [(2, 2), (4, 4), (3, 5), (5, 3), (8, 8), (32, 32)])
+    @pytest.mark.parametrize(
+        "rows, cols",
+        [(2, 2), (2, 3), (3, 2), (2, 4), (4, 4), (3, 5), (5, 3), (8, 8), (32, 32)],
+    )
     def test_many_matrix_stacks_match_reference(self, kind, rows, cols):
         # Stacks of 256 or more matrices of at most 32 rows read the pivot
         # row under a one-hot mask instead.
@@ -82,7 +85,9 @@ class TestRankKernel:
         expect = [gf256_rank_rows(m) for m in mats]
         assert gf256_rank_many(mats).tolist() == expect
 
-    @pytest.mark.parametrize("rows, cols", [(2, 2), (4, 4), (3, 5), (16, 16), (32, 32)])
+    @pytest.mark.parametrize(
+        "rows, cols", [(2, 2), (2, 3), (3, 2), (2, 4), (4, 4), (3, 5), (16, 16), (32, 32)]
+    )
     def test_whole_stack_matches_pieces(self, rows, cols):
         # The kernel sizes its buffers and its column groups from the stack.
         rng = np.random.default_rng(rows + cols)

@@ -37,6 +37,7 @@ from bncagg.oracle import (
     _draw_ranks,
     _group_pmf_brute,
     _word_bound,
+    simulate_periods,
     uniform_rank_pmf,
 )
 from helpers import make_ctx, rank_pmf_bruteforce
@@ -154,6 +155,86 @@ class TestSimulatePeriod:
             TrialConfig(ctx=ctx, n=3, seed=SEED, trials=0)
         with pytest.raises(ParameterError):
             TrialConfig(ctx=ctx, n=3, seed=SEED, trials=10, mode="quantum")
+
+
+_BOTH_MODES = (RANK_COUNTING, GF256_MATRIX)
+
+
+def _shared_draw_ctx(m, rank_dist, plr=0.1):
+    hbar = (
+        RankDistribution.degenerate(m)
+        if rank_dist == "degenerate"
+        else RankDistribution.truncated_binomial(m, 0.8)
+    )
+    code = CodeParams(batch_size=m, payload=256, bnc_header=m + 2, integrity=2)
+    return AggregationContext.build(ChannelParams(baseline_plr=plr), code, hbar)
+
+
+class TestSharedDraw:
+    """Both modes read from one set of draws give what each gives alone.
+
+    Each (M, N) runs once, at one seed and one rank distribution, so that
+    each M meets every pairing of the two seeds with the two distributions.
+    M = 5 counts packets one byte at a time (w = 1), and ``_CHUNK + 17``
+    trials cross a chunk boundary.
+    """
+
+    @pytest.mark.parametrize(
+        "m, n, seed, rank_dist",
+        [
+            (4, 1, 20240901, "degenerate"),
+            (4, 3, 20250517, "binomial:0.8"),
+            (4, 4, 20250517, "degenerate"),
+            (4, 7, 20240901, "binomial:0.8"),
+            (5, 1, 20250517, "binomial:0.8"),
+            (5, 3, 20240901, "degenerate"),
+            (5, 4, 20240901, "binomial:0.8"),
+            (5, 7, 20250517, "degenerate"),
+        ],
+    )
+    def test_equals_separate_calls(self, m, n, seed, rank_dist):
+        cfg = TrialConfig(
+            ctx=_shared_draw_ctx(m, rank_dist), n=n, seed=seed, trials=_CHUNK + 17
+        )
+        separate = tuple(
+            simulate_period(dataclasses.replace(cfg, mode=mode)) for mode in _BOTH_MODES
+        )
+        assert simulate_periods(cfg, _BOTH_MODES) == separate
+
+    def test_all_zero_periods(self):
+        # At PLR 0.999999 none of these trials receives a packet, so every
+        # gf256 group has j = 0 and no coefficient is drawn.
+        cfg = TrialConfig(
+            ctx=_shared_draw_ctx(4, "degenerate", plr=0.999999), n=3, seed=SEED,
+            trials=1000,
+        )
+        shared = simulate_periods(cfg, _BOTH_MODES)
+        assert shared == tuple(
+            simulate_period(dataclasses.replace(cfg, mode=mode)) for mode in _BOTH_MODES
+        )
+        assert all(est.mean == 0.0 and est.std_error == 0.0 for est in shared)
+
+    def test_estimates_follow_the_requested_order(self):
+        cfg = TrialConfig(ctx=_BOUNDARY_CTX, n=3, seed=SEED, trials=500)
+        a, b = simulate_periods(cfg, _BOTH_MODES)
+        assert simulate_periods(cfg, _BOTH_MODES[::-1]) == (b, a)
+        assert simulate_periods(cfg, (GF256_MATRIX,)) == (b,)
+        assert (a.mode, b.mode) == _BOTH_MODES
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda cfg: TrialConfig(**(vars(cfg) | {"trials": 0})), "trials must be"),
+            (lambda cfg: TrialConfig(**(vars(cfg) | {"seed": -1})), "seed must be"),
+            (lambda cfg: simulate_periods(cfg, ("quantum",)), "unknown mode 'quantum'"),
+            (lambda cfg: simulate_periods(cfg, (RANK_COUNTING, "")), "unknown mode ''"),
+            (lambda cfg: simulate_periods(cfg, ()), "no mode to simulate"),
+        ],
+    )
+    def test_rejects_bad_input(self, build, message):
+        cfg = TrialConfig(ctx=_BOUNDARY_CTX, n=3, seed=SEED, trials=10)
+        with pytest.raises(ParameterError, match=message):
+            build(cfg)
 
 
 class TestChunkBoundaries:
