@@ -1,9 +1,11 @@
 """Frame sizing, expected rank increment per frame, and the optimizer over N.
 
 The model core is the lineage reception pmf pi_N: the frame boundaries split
-each batch of a period into groups (``phases.batch_lineages``), each group
-rides its own frame, and pi_N[j] is the probability that a batch gets j of
-its M packets through, averaged over the batches of the period.  The
+each batch of a period into groups, each group rides its own frame, and
+pi_N[j] is the probability that a batch gets j of its M packets through,
+averaged over the batches of the period.  ``phases.batch_lineages`` states
+the split by the offset law (batch b starts at offset b * M mod N of a
+frame), so building a row costs one tuple per batch, not a packet walk.  The
 expected rank increment E a frame adds at the next node, given the frame's
 own header arrives, follows from pi_N in one dot product, and frame
 efficiency is d * K * E / S(N).
@@ -12,12 +14,12 @@ pi_N depends on (M, N, f, d) but not on the rank distribution, so the
 model keeps one read-only plan per (M, rows, f, d, S(1), packet size), with
 rows = max(N asked, n_max).  A plan holds the reception table (row N - 1 is
 pi_N, built past n_max when a larger N is asked for), the factors N / M, the
-frame sizes S(N), and the hop transitions that a line network asks for,
-each built once (``_transition``).  E for every N is one product of the
-plan's table with e, a scan is one argmax, and every hop of a line network
-at the same loss rate reads the same plan, so a warm scan or hop pays only
-for its arithmetic.  The plans and the min(j, r) matrix behind e, cached
-once per M, are the model's only state, and only this module keys them.
+frame sizes S(N), the min(j, r) matrix behind e, and the hop transitions
+that a line network asks for, each built once (``_transition``).  E for
+every N is one product of the plan's table with e, a scan is one argmax,
+and every hop of a line network at the same loss rate reads the same plan,
+so a warm scan or hop pays only for its arithmetic.  The plan cache is the
+model's only state, and only this module keys it.
 The paper's phase-average terms (beta, gamma, omega) compute the same E
 frame by frame; they live in ``tests/reference.py`` and the tests hold this
 module to them.
@@ -49,13 +51,12 @@ from .probability import (
 )
 
 # Bound on the cached plans.  At M = 32, K = 64 (rows = n_max = 89) a plan's
-# table takes 23 KiB, and each of its transitions 8.5 KiB.  A line network
-# builds one transition per distinct N it picks (at most two per plan in the
-# README figures); at two per plan a full cache stays near 5 MiB there.  The
-# worst case is one per row: 780 KiB per plan, 98 MiB for a full cache.
+# table takes 23 KiB, its min(j, r) matrix 8.3 KiB and each of its
+# transitions 8.5 KiB.  A line network builds one transition per distinct N
+# it picks (at most two per plan in the README figures); at two per plan a
+# full cache stays near 6 MiB there.  The worst case is one per row: 790 KiB
+# per plan, 98 MiB for a full cache.
 _PMF_CACHE_SIZE = 128
-# One (M + 1) x M float matrix per batch size, 33 KiB at M = 64.
-_MIN_CACHE_SIZE = 32
 
 
 @dataclass(frozen=True)
@@ -201,24 +202,12 @@ def _capacity(channel: ChannelParams, code: CodeParams) -> int:
 
 
 def _increments(ctx: AggregationContext, plan: _ScanPlan) -> np.ndarray:
-    """E for every row of the plan: one product of its table with e."""
-    return plan.scale * (plan.table @ _expected_min_table(ctx)) / ctx.d
+    """E for every row of the plan: one product of its table with e.
 
-
-def _expected_min_table(ctx: AggregationContext) -> np.ndarray:
-    """e[j] = E_r[min(j, r)] under the context's rank distribution, j = 0..M."""
-    return _min_matrix(ctx.code.batch_size) @ np.asarray(ctx.rank_dist.masses)
-
-
-@functools.lru_cache(maxsize=_MIN_CACHE_SIZE)
-def _min_matrix(m: int) -> np.ndarray:
-    """mins[j, r - 1] = min(j, r) for j = 0..M, r = 1..M; read-only.
-
-    Held as floats, so the product with the masses casts nothing per call.
+    e[j] = E_r[min(j, r)] under the context's rank distribution, j = 0..M.
     """
-    mins = np.minimum.outer(np.arange(m + 1.0), np.arange(1.0, m + 1))
-    mins.flags.writeable = False
-    return mins
+    e = plan.mins @ np.asarray(ctx.rank_dist.masses)
+    return plan.scale * (plan.table @ e) / ctx.d
 
 
 class _ScanPlan(NamedTuple):
@@ -231,6 +220,7 @@ class _ScanPlan(NamedTuple):
     table: np.ndarray  # the reception table, row N - 1 holding pi_N
     scale: np.ndarray  # N / M for each row
     sizes: np.ndarray  # frame size S(N) in bytes for each row
+    mins: np.ndarray  # mins[j, r - 1] = min(j, r), floats so e casts nothing
     transitions: dict[int, np.ndarray]
 
 
@@ -262,8 +252,10 @@ def _scan_plan(
         row /= len(lineages)
     scale = np.arange(1, rows + 1) / m
     sizes = s1 + np.arange(rows) * step
-    table.flags.writeable = scale.flags.writeable = sizes.flags.writeable = False
-    return _ScanPlan(table, scale, sizes, {})
+    mins = np.minimum.outer(np.arange(m + 1.0), np.arange(1.0, m + 1))
+    for array in (table, scale, sizes, mins):
+        array.flags.writeable = False
+    return _ScanPlan(table, scale, sizes, mins, {})
 
 
 def _transition(n: int, ctx: AggregationContext) -> np.ndarray:

@@ -51,7 +51,7 @@ class NodeStrategy:
         if (self.kind == FIXED) != (self.n is not None):
             raise ParameterError("fixed strategies need n, others must not set it")
         if self.kind == FIXED:
-            positive_int(self.n, "fixed N")
+            object.__setattr__(self, "n", positive_int(self.n, "fixed N"))
 
     @classmethod
     def optimal(cls) -> "NodeStrategy":

@@ -53,17 +53,17 @@ large-field E; its exact reference is
 
 ``simulate_period`` shares no code with the model; ``simulate_end_to_end``
 takes each hop's N from ``NodeStrategy.choose``, as the exact line network
-does.  ``enumerate_period_exact`` walks the model's ``batch_lineages`` and
-differs from the model only in its brute-force group pmf, so a fault in the
-lineage walk would escape it; the tests catch one with the phase-average
-terms of ``tests/reference.py`` and with enumerations that split batches
-with their own loop.  That group pmf is cached read-only per (size, f, d):
-``validate`` asks for the same ten about two thousand times.
+does.  ``enumerate_period_exact`` shares no lineage code with the model
+either: it splits each batch by walking its packet positions frame by
+frame, where the model states the split in closed form by the offset law,
+and it builds each group's pmf by brute force, cached read-only per
+(size, f, d): ``validate`` asks for the same ten about two thousand times.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -75,7 +75,6 @@ from .gf256 import gf256_rank_many
 from .network import NodeStrategy
 from .params import EnumerationSizeError, ParameterError, RankDistribution
 from .params import nonnegative_int, positive_int
-from .phases import batch_lineages
 
 RANK_COUNTING = "rank_counting"
 GF256_MATRIX = "gf256_matrix"
@@ -358,26 +357,29 @@ def enumerate_period_exact(
 
     Expectation is additive over the batches of a period, so each batch's
     increment is enumerated over all survival patterns of its own packets and
-    the header events of the frames it touches.  It walks ``batch_lineages``
-    like the production model does; only its group pmf
-    (:func:`_group_pmf_brute`) is built independently, so a fault in the
-    lineage walk is left to the tests' own references to catch.
+    the header events of the frames it touches.  The groups come from a walk
+    over the batch's packet positions and the group pmfs from
+    :func:`_group_pmf_brute`, both independent of the production model.
 
     With ``field_size=None`` a batch of rank r that receives j packets gains
     min(j, r), the large-field model.  With a prime power q it gains the
     expected rank of a uniform j x r matrix over GF(q), which is exact for
     random linear recoding over that field because a batch's increment over a
-    period is the rank of everything it received.
+    period is the rank of everything it received.  ``uniform_rank_pmf``
+    checks the field size.
     """
+    n = positive_int(n)
     if field_size is None:
         rank = min
-    elif _is_prime_power(field_size := positive_int(field_size, "field size")):
+    else:
         def rank(j: int, r: int) -> float:
             return sum(k * p for k, p in enumerate(uniform_rank_pmf(j, r, field_size)))
-    else:
-        raise ParameterError(f"field size must be a prime power, got {field_size!r}")
     m = ctx.code.batch_size
-    lineages = batch_lineages(m, n)
+    period = math.lcm(m, n)
+    lineages = [  # the packet positions p of each batch, grouped by frame p // N
+        [len(list(g)) for _, g in itertools.groupby(range(b, b + m), lambda p: p // n)]
+        for b in range(0, period, m)
+    ]
     cost = sum(2 ** (m + len(groups)) for groups in lineages)
     if cost > _MAX_ENUM_TERMS:
         raise EnumerationSizeError(
@@ -395,8 +397,7 @@ def enumerate_period_exact(
         for size in groups:
             pmf = np.convolve(pmf, _group_pmf_brute(size, ctx.f, ctx.d))
         total += sum(pmf[j] * emin[j] for j in range(pmf.size))
-    frames = math.lcm(m, n) // n
-    return total / (frames * ctx.d)
+    return total / (period // n * ctx.d)
 
 
 def uniform_rank_pmf(j: int, r: int, q: int) -> list[float]:
@@ -405,8 +406,10 @@ def uniform_rank_pmf(j: int, r: int, q: int) -> list[float]:
     P(rank = k) = q^-((j-k)(r-k)) * prod_{i<k} (1 - q^(i-j)) (1 - q^(i-r))
     / (1 - q^(i-k)) for k = 0..min(j, r), the count of rank-k matrices over
     q^(jr) (the rank law behind BATS code analysis; Yang & Yeung, "Batched
-    Sparse Codes", IEEE Trans. IT 2014).
+    Sparse Codes", IEEE Trans. IT 2014).  ``q`` must be a prime power.
     """
+    if not _is_prime_power(q := positive_int(q, "field size")):
+        raise ParameterError(f"field size must be a prime power, got {q!r}")
     q = float(q)
     pmf = []
     for k in range(min(j, r) + 1):

@@ -4,7 +4,9 @@ Batches are sent sequentially, so the stream of BNC packets is periodic with
 period lcm(M, N).  The "phase" of a frame is the number of packets of its
 leading batch it carries.  The helpers here enumerate phases, the valid
 (s, k) lineages of full-batch frames when M > N, and the way each batch's M
-packets are split into groups by the frame boundaries.
+packets are split into groups by the frame boundaries, in closed form by
+the offset law (``batch_lineages``).  The exhaustive oracle walks the
+packets instead, so a fault in the law shows as a gap between the two.
 """
 
 from __future__ import annotations
@@ -44,22 +46,18 @@ def case_ii_sk_pairs(m: int, n: int) -> list[tuple[int, int]]:
 def batch_lineages(m: int, n: int) -> list[tuple[int, ...]]:
     """Group sizes of each batch in one period, split by frame boundaries.
 
-    Returns one tuple per batch (lcm(M, N) / M of them); the entries are the
-    packet counts the batch contributes to consecutive frames and sum to M.
+    Returns one tuple per batch (lcm(M, N) / M = N / gcd(M, N) of them); the
+    entries are the packet counts the batch contributes to consecutive frames
+    and sum to M.  By the offset law, batch b starts at offset o = b * M mod N
+    of its first frame, puts min(N - o, M) packets there, fills whole frames
+    of N, and puts the rest in one more frame.
     """
     m, n = _check_mn(m, n)
-    period = math.lcm(m, n)
     lineages = []
-    for b in range(period // m):
-        start, end = b * m, (b + 1) * m
-        groups = []
-        pos = start
-        while pos < end:
-            frame_end = (pos // n + 1) * n
-            nxt = min(end, frame_end)
-            groups.append(nxt - pos)
-            pos = nxt
-        lineages.append(tuple(groups))
+    for b in range(n // math.gcd(m, n)):
+        first = min(n - b * m % n, m)
+        fulls, rest = divmod(m - first, n)
+        lineages.append((first,) + (n,) * fulls + ((rest,) if rest else ()))
     return lineages
 
 

@@ -11,12 +11,15 @@ sums those terms into E.
 The terms read the context, the phase lists (``case_i_phases`` and
 ``case_ii_partial_phases`` here, ``case_ii_sk_pairs`` from ``bncagg.phases``)
 and the probability primitives, but neither ``batch_lineages`` nor the reception
-table, so they would catch a fault in the lineage walk; the tests hold
-production to them.  ``helpers.period_expected_increment`` and
-``helpers.reception_pmf_bruteforce`` catch such a fault too, by splitting
-batches with their own loop and enumerating every outcome.  No production
-path calls this module, so it lives with the tests: its pure-Python terms
-cost far more per E than the pmf does, and more so as M grows.
+table, so they would catch a fault in the offset law by which
+``batch_lineages`` splits each batch; the tests hold production to them.
+``oracle.enumerate_period_exact``, ``helpers.period_expected_increment`` and
+``helpers.reception_pmf_bruteforce`` catch such a fault too: each splits
+batches by walking their packets and enumerates every outcome, and
+``helpers._split_batches`` is held to ``batch_lineages`` tuple for tuple.
+No production path calls this module, so it lives with the tests: its
+pure-Python terms cost far more per E than the pmf does, and more so as M
+grows.
 
 ``phase_sequence_loop`` and ``case_ii_sk_pairs_loop`` keep the earlier loop
 forms of the two phase helpers, which the tests hold the production forms

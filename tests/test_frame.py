@@ -423,7 +423,7 @@ class TestScanPlan:
         # A loss rate no other test uses, so the first run fills the caches.
         ctx = ScenarioConfig(batch_size=16, payload=256).context(0.1837, "checksum")
         simulate_line_network(10, NodeStrategy.optimal(), ctx)
-        caches = (frame._scan_plan, frame._min_matrix)
+        caches = (frame._scan_plan,)
         before = [cache.cache_info().misses for cache in caches]
         plan = frame._plan(ctx, 1)
         built = dict(plan.transitions)

@@ -31,6 +31,13 @@ class TestNodeStrategy:
         assert NodeStrategy.largest().label() == "largest"
         assert NodeStrategy.fixed(1).label() == "fixed1"
 
+    def test_fixed_keeps_the_checked_count(self):
+        # The raw value was kept before: fixed(True) read "fixedTrue".
+        assert NodeStrategy.fixed(True).label() == "fixed1"
+        strategy = NodeStrategy.fixed(np.int64(2))
+        assert type(strategy.n) is int
+        assert strategy == NodeStrategy.fixed(2)
+
     def test_bad_combinations(self):
         with pytest.raises(ParameterError):
             NodeStrategy("fixed")

@@ -3,6 +3,8 @@ import dataclasses
 import hashlib
 import io
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -495,6 +497,9 @@ class TestEnumeratePeriod:
         ctx = make_ctx(3, f=0.5, d=0.9)
         with pytest.raises(ParameterError):
             enumerate_period_exact(ctx, 2, field_size=q)
+        # A direct call raised ZeroDivisionError at q = 1 before.
+        with pytest.raises(ParameterError, match="field size must be a"):
+            uniform_rank_pmf(2, 2, q)
 
     def test_group_pmf_is_cached_read_only(self):
         pmf = _group_pmf_brute(3, 0.6, 0.85)
@@ -502,6 +507,20 @@ class TestEnumeratePeriod:
         assert not pmf.flags.writeable
         with pytest.raises(ValueError):
             pmf[0] = 1.0
+
+    def test_splits_batches_with_its_own_walk(self):
+        # The model states each batch's split by the offset law; the oracle
+        # must not share it, or a fault in the law would escape both.
+        path = Path(__file__).resolve().parent.parent / "src" / "bncagg" / "oracle.py"
+        shared = re.compile(
+            r"batch_lineages|from\s+(\.|bncagg\.)phases\b|\bimport\s+.*\bphases\b"
+        )
+        found = [
+            f"oracle.py:{number}: {line.strip()}"
+            for number, line in enumerate(path.read_text().splitlines(), start=1)
+            if shared.search(line)
+        ]
+        assert not found, "\n".join(found)
 
     def test_size_guard(self):
         ctx = make_ctx(18, f=0.5, d=0.9)
@@ -586,6 +605,12 @@ def _replace(**fields):
         (lambda: _end_to_end(trials=0), "trials must be a positive integer"),
         (lambda: _end_to_end(trials=10.0), "trials must be a positive integer"),
         (lambda: _end_to_end(seed=-1), "seed must be a nonnegative integer"),
+        (lambda: enumerate_period_exact(_BOUNDARY_CTX, 0),
+         "aggregation count must be a positive integer"),
+        (lambda: enumerate_period_exact(_BOUNDARY_CTX, 2.0),
+         "aggregation count must be a positive integer"),
+        (lambda: enumerate_period_exact(_BOUNDARY_CTX, "2"),
+         "aggregation count must be a positive integer"),
         # From here on each case fails at the parent, which returned a value,
         # raised another error or worded the message its own way.
         (lambda: _replace(d=1.5), "header survival must be in"),
@@ -611,6 +636,7 @@ def _replace(**fields):
         "period-trials-str", "period-seed-negative", "period-seed-float",
         "strategy-n-str", "strategy-n-float", "line-hops-str", "line-hops-float",
         "e2e-hops-str", "e2e-trials-zero", "e2e-trials-float", "e2e-seed-negative",
+        "enum-n-zero", "enum-n-float", "enum-n-str",
         "ctx-d-above-one", "ctx-d-nan", "ctx-f-negative", "ctx-f-above-one",
         "ctx-f-nan", "code-batch-float", "degenerate-zero", "binomial-zero",
         "field-size-float", "bin-d-f-above-one", "binom-k-float", "binom-n-float",
@@ -642,6 +668,7 @@ def test_library_counts_accept_numpy_integers(to_numpy):
     assert optimize_n(ctx) == optimize_n(AggregationContext.build(CH, CODE))
     exact = enumerate_period_exact(ctx, 3, field_size=256)
     assert enumerate_period_exact(ctx, 3, field_size=to_numpy(256)) == exact
+    assert enumerate_period_exact(ctx, to_numpy(3)) == enumerate_period_exact(ctx, 3)
 
 
 @pytest.mark.parametrize("to_numpy", [np.float16, np.float32, np.float64])

@@ -9,6 +9,7 @@ from bncagg.phases import (
     case_ii_sk_pairs,
     phase_sequence,
 )
+from helpers import _split_batches
 from reference import (
     case_i_phases,
     case_ii_partial_phases,
@@ -127,6 +128,12 @@ class TestLoopReference:
         for m in range(1, 65):
             for n in range(1, m):
                 assert case_ii_sk_pairs(m, n) == case_ii_sk_pairs_loop(m, n)
+
+    def test_offset_law_matches_packet_walk(self):
+        for m in range(1, 65):
+            for n in range(1, 97):
+                walked = [tuple(groups) for groups in _split_batches(m, n)]
+                assert batch_lineages(m, n) == walked, (m, n)
 
 
 class TestCountArguments:
