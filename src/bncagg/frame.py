@@ -16,10 +16,14 @@ rows = max(N asked, n_max).  A plan holds the reception table (row N - 1 is
 pi_N, built past n_max when a larger N is asked for), the factors N / M, the
 frame sizes S(N), the min(j, r) matrix behind e, and the hop transitions
 that a line network asks for, each built once (``_transition``).  E for
-every N is one product of the plan's table with e, a scan is one argmax,
-and every hop of a line network at the same loss rate reads the same plan,
-so a warm scan or hop pays only for its arithmetic.  The plan cache is the
-model's only state, and only this module keys it.
+every N is one product of the plan's table with e, and a scan is one argmax.
+A scan has two halves: ``_resolve`` takes from a context all that does not
+depend on its ranks (n_max, the plan, d and d * K), and ``_scan`` turns a
+rank distribution into the efficiency profile; ``optimize_n`` runs both.  A
+line network resolves its context once and scans each hop's ranks, so a
+hop builds no context and looks up no plan, and pays only for its
+arithmetic.  The plan cache is the model's only state, and only this module
+keys it.
 The paper's phase-average terms (beta, gamma, omega) compute the same E
 frame by frame; they live in ``tests/reference.py`` and the tests hold this
 module to them.
@@ -76,14 +80,9 @@ class AggregationContext:
                 "rank distribution has batch size"
                 f" {self.rank_dist.batch_size}, code has {self.code.batch_size}"
             )
-        try:  # every hop builds a context: one comparison, the rules only to raise
-            valid = 0.0 <= self.p < 1.0 and 0.0 <= self.d <= 1.0 and 0.0 <= self.f <= 1.0
-        except (TypeError, ValueError):  # not a number, or an array
-            valid = False
-        if not valid:
-            probability(self.p, "ber", below_one=True)
-            probability(self.d, "header survival")
-            probability(self.f, "packet survival")
+        probability(self.p, "ber", below_one=True)
+        probability(self.d, "header survival")
+        probability(self.f, "packet survival")
 
     @classmethod
     def build(
@@ -161,7 +160,7 @@ def expected_rank_increment(n: int, ctx: AggregationContext) -> float:
     """
     if ctx.d <= 0.0:
         raise ParameterError("header survival is zero; E is undefined")
-    return float(_increments(ctx, _plan(ctx, n))[n - 1])
+    return float(_increments(_plan(ctx, n), ctx.rank_dist, ctx.d)[n - 1])
 
 
 def lineage_reception_pmf(n: int, ctx: AggregationContext) -> np.ndarray:
@@ -186,14 +185,8 @@ def frame_efficiency(n: int, ctx: AggregationContext) -> float:
 
 def optimize_n(ctx: AggregationContext) -> tuple[int, EfficiencyProfile]:
     """Exhaustive scan over feasible N; ties break toward the smallest N."""
-    n_max = max_feasible_n(ctx.channel, ctx.code)
-    if ctx.d <= 0.0:
-        values = np.zeros(n_max)  # no header arrives, so no payload byte is useful
-    else:
-        plan = _plan(ctx, n_max)
-        values = ctx.d * ctx.code.payload * _increments(ctx, plan) / plan.sizes
-    best = int(values.argmax()) + 1
-    return best, EfficiencyProfile(n_max, tuple(values.tolist()), best)
+    profile = _scan(_resolve(ctx), ctx.rank_dist)
+    return profile.best_n, profile
 
 
 def _capacity(channel: ChannelParams, code: CodeParams) -> int:
@@ -201,13 +194,13 @@ def _capacity(channel: ChannelParams, code: CodeParams) -> int:
     return (channel.max_payload - channel.proto_header) // code.packet_size
 
 
-def _increments(ctx: AggregationContext, plan: _ScanPlan) -> np.ndarray:
+def _increments(plan: _ScanPlan, ranks: RankDistribution, d: float) -> np.ndarray:
     """E for every row of the plan: one product of its table with e.
 
-    e[j] = E_r[min(j, r)] under the context's rank distribution, j = 0..M.
+    e[j] = E_r[min(j, r)] under the rank distribution ``ranks``, j = 0..M.
     """
-    e = plan.mins @ np.asarray(ctx.rank_dist.masses)
-    return plan.scale * (plan.table @ e) / ctx.d
+    e = plan.mins @ np.asarray(ranks.masses)
+    return plan.scale * (plan.table @ e) / d
 
 
 class _ScanPlan(NamedTuple):
@@ -258,13 +251,13 @@ def _scan_plan(
     return _ScanPlan(table, scale, sizes, mins, {})
 
 
-def _transition(n: int, ctx: AggregationContext) -> np.ndarray:
+def _transition(n: int, plan: _ScanPlan) -> np.ndarray:
     """T[r, k] = P(next-hop rank k | rank r): pi_N[k] below r, its tail at r.
 
     Built the first time a hop asks for it and kept in the plan, so every
-    hop with the same plan and N shares it: read-only.
+    hop with the same plan and N shares it: read-only.  N is at most the
+    plan's row count.
     """
-    plan = _plan(ctx, n)
     t = plan.transitions.get(n)
     if t is None:
         pmf = plan.table[n - 1]
@@ -274,3 +267,32 @@ def _transition(n: int, ctx: AggregationContext) -> np.ndarray:
         t.flags.writeable = False
         plan.transitions[n] = t
     return t
+
+
+class _Resolved(NamedTuple):
+    """What a scan needs from a context besides its ranks (``_resolve``)."""
+
+    n_max: int
+    plan: _ScanPlan  # rows N = 1..n_max
+    d: float
+    dk: float  # d * K
+
+
+def _resolve(ctx: AggregationContext) -> _Resolved:
+    """The part of a scan that does not depend on the context's ranks.
+
+    A line network resolves its context once and scans each hop's ranks
+    against the result, so a hop looks up no plan and builds no context.
+    """
+    n_max = max_feasible_n(ctx.channel, ctx.code)
+    return _Resolved(n_max, _plan(ctx, n_max), ctx.d, ctx.d * ctx.code.payload)
+
+
+def _scan(model: _Resolved, ranks: RankDistribution) -> EfficiencyProfile:
+    """Efficiency d * K * E(N) / S(N) for every feasible N under ``ranks``."""
+    if model.d <= 0.0:
+        values = np.zeros(model.n_max)  # no header arrives, so no payload byte is useful
+    else:
+        values = model.dk * _increments(model.plan, ranks, model.d) / model.plan.sizes
+    best = int(values.argmax()) + 1
+    return EfficiencyProfile(model.n_max, tuple(values.tolist()), best)

@@ -9,12 +9,14 @@ pipeline (they still cost bytes); their mass is tracked in a separate bucket
 and the per-hop efficiency is scaled by the probability of rank >= 1.
 
 Each hop's N has one owner, ``NodeStrategy.choose``, which this network and
-``oracle.simulate_end_to_end`` both call: one ``optimize_n`` scan under the
-hop's incoming rank distribution, from whose profile the strategy picks N.
-The scan reads the model's cached plan (reception table, N / M, frame sizes
-S(N)), so a warm hop pays for little but the product with its own ranks.  The
-transition depends on the ranks only through N; ``frame._transition`` builds
-it on first use and keeps it, read-only, in the same plan.
+``oracle.simulate_end_to_end`` both call.  Both resolve the line's context
+once, before the first hop (``frame._resolve``: n_max, the model's cached
+plan, d and d * K).  At each hop ``choose`` normalizes the incoming rank
+masses, scans them against that (``frame._scan``, the arithmetic of
+``optimize_n``) and lets the strategy pick N from the profile, so no hop
+builds a context or looks up a plan.  The transition depends on the ranks
+only through N; ``frame._transition`` builds it on first use and keeps it,
+read-only, in the same plan.
 """
 
 from __future__ import annotations
@@ -27,9 +29,12 @@ import numpy as np
 from .frame import (
     AggregationContext,
     EfficiencyProfile,
+    _resolve,
+    _Resolved,
+    _scan,
+    _ScanPlan,
     _transition,
     lineage_reception_pmf,
-    optimize_n,
 )
 from .params import InfeasibleError, ParameterError, RankDistribution, positive_int
 
@@ -66,7 +71,7 @@ class NodeStrategy:
         return cls(FIXED, n)
 
     def select(self, profile: EfficiencyProfile) -> int:
-        """N for a node whose ``optimize_n`` scan gave ``profile``."""
+        """N for a node whose scan gave ``profile``."""
         if self.kind == OPTIMAL:
             return profile.best_n
         if self.kind == LARGEST:
@@ -76,18 +81,20 @@ class NodeStrategy:
         return self.n
 
     def choose(
-        self, hop: int, masses: np.ndarray, ctx: AggregationContext
-    ) -> tuple[AggregationContext, EfficiencyProfile, int]:
-        """(local context, scan profile, N) at ``hop``; ``masses`` weigh ranks 1..M."""
+        self, hop: int, masses: np.ndarray, model: _Resolved
+    ) -> tuple[RankDistribution, EfficiencyProfile, int]:
+        """(incoming ranks, scan profile, N) at ``hop``; ``masses`` weigh ranks 1..M.
+
+        ``model`` is the line's context resolved once (``frame._resolve``).
+        """
         try:  # all-zero masses raise here, so a live hop makes no extra pass
             ranks = RankDistribution.from_masses(masses)
         except ParameterError:
             if masses.any():  # some other fault, such as a NaN mass
                 raise
             raise ParameterError(f"population extinct before hop {hop}") from None
-        local = ctx.with_rank_dist(ranks)
-        profile = optimize_n(local)[1]
-        return local, profile, self.select(profile)
+        profile = _scan(model, ranks)
+        return ranks, profile, self.select(profile)
 
     def label(self) -> str:
         return f"fixed{self.n}" if self.kind == FIXED else self.kind
@@ -133,22 +140,23 @@ def simulate_line_network(
     to M outgoing packets, so the loss model is identical at every hop.
     """
     hops = positive_int(hops, "hops")
+    model = _resolve(ctx)
     m = ctx.code.batch_size
     full = np.zeros(m + 1)
     full[m] = 1.0
     records = []
     for hop in range(1, hops + 1):
-        local, profile, n = strategy.choose(hop, full[1:], ctx)
+        ranks, profile, n = strategy.choose(hop, full[1:], model)
         delivered = float(full[1:].sum())
         eff = delivered * profile.value(n)
-        records.append(HopRecord(hop, n, local.rank_dist, delivered, eff))
-        full = _evolve_full(full, n, local)
+        records.append(HopRecord(hop, n, ranks, delivered, eff))
+        full = _evolve_full(full, n, model.plan)
     return HopTrace(tuple(records))
 
 
-def _evolve_full(full: np.ndarray, n: int, ctx: AggregationContext) -> np.ndarray:
+def _evolve_full(full: np.ndarray, n: int, plan: _ScanPlan) -> np.ndarray:
     """Push a distribution over ranks 0..M through one lossy hop."""
-    out = full @ _transition(n, ctx)
+    out = full @ _transition(n, plan)
     # Guard against accumulated round-off; the mass is conserved analytically.
     total = out.sum()
     if not math.isclose(total, 1.0, abs_tol=1e-9):

@@ -70,7 +70,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .frame import AggregationContext, frame_size
+from .frame import AggregationContext, _resolve, frame_size
 from .gf256 import gf256_rank_many
 from .network import NodeStrategy
 from .params import EnumerationSizeError, ParameterError, RankDistribution
@@ -408,6 +408,8 @@ def uniform_rank_pmf(j: int, r: int, q: int) -> list[float]:
     q^(jr) (the rank law behind BATS code analysis; Yang & Yeung, "Batched
     Sparse Codes", IEEE Trans. IT 2014).  ``q`` must be a prime power.
     """
+    j = nonnegative_int(j, "j")
+    r = nonnegative_int(r, "r")
     if not _is_prime_power(q := positive_int(q, "field size")):
         raise ParameterError(f"field size must be a prime power, got {q!r}")
     q = float(q)
@@ -463,11 +465,12 @@ def simulate_end_to_end(
     seed = nonnegative_int(seed, "seed")
     m = ctx.code.batch_size
     payload = ctx.code.payload
+    model = _resolve(ctx)
     records = []
     # About `trials` periods at N = M.
     ranks = np.full(trials * m, m, dtype=np.min_scalar_type(m))
     for hop in range(1, hops + 1):
-        local, _, n = strategy.choose(hop, np.bincount(ranks, minlength=m + 1)[1:], ctx)
+        _, _, n = strategy.choose(hop, np.bincount(ranks, minlength=m + 1)[1:], model)
         period = math.lcm(m, n)
         per_period = period // m
         frames = period // n
@@ -480,7 +483,7 @@ def simulate_end_to_end(
         used = ranks[: n_periods * per_period].reshape(n_periods, per_period)
         next_ranks = np.empty_like(used)
         for rows, rng in _chunks(seed, n_periods, hop):
-            counts = _received_counts(rng, local, n, used[rows].shape)
+            counts = _received_counts(rng, ctx, n, used[rows].shape)
             np.minimum(counts, used[rows], out=next_ranks[rows])
         bytes_per_period = frames * frame_size(n, ctx.channel, ctx.code)
         per_period_tp = payload * next_ranks.sum(axis=1) / bytes_per_period

@@ -90,7 +90,7 @@ class TestReceptionPmf:
 
     def test_matches_bruteforce(self):
         ctx = make_ctx(3, f=0.5, d=0.9)
-        got = _transition(5, ctx)[3]
+        got = _transition(5, frame._plan(ctx, 5))[3]
         expect = reception_pmf_bruteforce(3, 5, ctx)
         assert np.allclose(got, expect, atol=1e-13)
 
@@ -98,7 +98,7 @@ class TestReceptionPmf:
         # Row r of the hop transition is the next-hop rank pmf of a rank-r
         # batch: nothing above r, and the mass of j >= r received sits at r.
         ctx = make_ctx(4, f=0.6, d=0.8)
-        t = _transition(3, ctx)
+        t = _transition(3, frame._plan(ctx, 3))
         assert t.shape == (5, 5)
         assert np.allclose(t.sum(axis=1), 1.0, atol=1e-12)
         assert not np.triu(t, k=1).any()
@@ -110,7 +110,7 @@ class TestEvolution:
     def test_lossless_fixed_point(self):
         ctx = make_ctx(4, f=1.0, d=1.0)
         full = np.concatenate(([0.0], RankDistribution.truncated_binomial(4).masses))
-        assert np.allclose(_evolve_full(full, 3, ctx), full, atol=1e-13)
+        assert np.allclose(_evolve_full(full, 3, frame._plan(ctx, 3)), full, atol=1e-13)
         trace = simulate_line_network(4, NodeStrategy.fixed(3), ctx)
         for rec in trace.records:
             assert rec.delivered == pytest.approx(1.0, abs=1e-13)
@@ -127,7 +127,7 @@ class TestEvolution:
         assert means[-1] < means[0]
 
     def test_lost_mass_is_an_internal_fault(self, monkeypatch):
-        monkeypatch.setattr(network, "_transition", lambda n, ctx: 0.9 * _transition(n, ctx))
+        monkeypatch.setattr(network, "_transition", lambda n, plan: 0.9 * _transition(n, plan))
         ctx = make_ctx(4, f=0.8, d=0.95)
         with pytest.raises(RuntimeError, match="N=3 lost mass") as info:
             simulate_line_network(2, NodeStrategy.fixed(3), ctx)
@@ -216,13 +216,12 @@ class TestHopCaches:
     def test_one_scan_per_hop(self, monkeypatch):
         calls = []
 
-        def counted(ctx):
-            calls.append(ctx.rank_dist)
-            return real(ctx)
+        def counted(model, ranks):
+            calls.append(ranks)
+            return real(model, ranks)
 
-        real = frame.optimize_n
-        monkeypatch.setattr(frame, "optimize_n", counted)
-        monkeypatch.setattr(network, "optimize_n", counted)
+        real = frame._scan
+        monkeypatch.setattr(network, "_scan", counted)
         trace = simulate_line_network(10, NodeStrategy.optimal(), self.fresh_ctx(0.61803))
         assert len(calls) == 10
         assert calls == [rec.rank_dist for rec in trace.records]
@@ -231,17 +230,45 @@ class TestHopCaches:
         # The Monte Carlo line takes each hop's N from NodeStrategy.choose too.
         calls = []
 
-        def counted(ctx):
-            calls.append(ctx.rank_dist)
-            return real(ctx)
+        def counted(model, ranks):
+            calls.append(ranks)
+            return real(model, ranks)
 
-        real = frame.optimize_n
-        monkeypatch.setattr(frame, "optimize_n", counted)
-        monkeypatch.setattr(network, "optimize_n", counted)
+        real = frame._scan
+        monkeypatch.setattr(network, "_scan", counted)
         ctx = self.fresh_ctx(0.61806)
         estimates = simulate_end_to_end(ctx, 10, NodeStrategy.optimal(), 7, 500)
         assert len(estimates) == len(calls) == 10
         assert calls[0] == RankDistribution.degenerate(16)
+
+    @pytest.mark.parametrize(
+        "simulate",
+        [
+            lambda ctx: simulate_line_network(10, NodeStrategy.optimal(), ctx).records,
+            lambda ctx: simulate_end_to_end(ctx, 10, NodeStrategy.optimal(), 7, 500),
+        ],
+        ids=["exact", "mc"],
+    )
+    def test_line_resolves_its_context_once(self, monkeypatch, simulate):
+        # One plan lookup for the whole line, and no context built per hop.
+        ctx = self.fresh_ctx(0.61807)
+        lookups, contexts = [], []
+
+        def counted_plan(ctx, n):
+            lookups.append(n)
+            return real_plan(ctx, n)
+
+        def counted_post_init(self):
+            contexts.append(self)
+            real_post_init(self)
+
+        real_plan = frame._plan
+        real_post_init = AggregationContext.__post_init__
+        monkeypatch.setattr(frame, "_plan", counted_plan)
+        monkeypatch.setattr(AggregationContext, "__post_init__", counted_post_init)
+        assert len(simulate(ctx)) == 10
+        assert lookups == [max_feasible_n(ctx.channel, ctx.code)]
+        assert contexts == []
 
     def test_cache_misses(self):
         # One plan for the scans and every hop; it keeps one transition per N.
@@ -259,9 +286,10 @@ class TestHopCaches:
 
     def test_cached_transition_is_read_only(self):
         ctx = make_ctx(4, f=0.6, d=0.8)
-        t = _transition(3, ctx)
-        assert t is _transition(np.int64(3), ctx)
-        assert t is frame._plan(ctx, 3).transitions[3]
+        plan = frame._plan(ctx, 3)
+        t = _transition(3, plan)
+        assert t is _transition(np.int64(3), plan)
+        assert t is plan.transitions[3]
         assert not t.flags.writeable
         with pytest.raises(ValueError):
             t[0, 0] = 1.0

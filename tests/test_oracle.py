@@ -288,6 +288,20 @@ class TestChunkBoundaries:
                         std_error=0.0005053100669789558),
         ]
 
+    def test_end_to_end_optimal_scans_each_hop(self):
+        # Each hop's N comes from the scan of the population's ranks: 76 at
+        # full rank, 75 once the ranks have spread.
+        code = CodeParams(batch_size=4, payload=110, bnc_header=6, integrity=2)
+        ctx = AggregationContext.build(ChannelParams(baseline_plr=0.2), code)
+        assert simulate_end_to_end(ctx, 3, NodeStrategy.optimal(), SEED, 20_000) == [
+            HopEstimate(hop=1, n=76, throughput=0.7426659877596647,
+                        std_error=0.0030712666143031084),
+            HopEstimate(hop=2, n=75, throughput=0.6233727826859442,
+                        std_error=0.0034769638296610725),
+            HopEstimate(hop=3, n=75, throughput=0.5418926017608715,
+                        std_error=0.0037857986384783994),
+        ]
+
 
 class _GivenWords:
     """Stands in for a Generator whose raw Philox words are given."""
@@ -463,6 +477,7 @@ class TestUniformRankLaw:
 
     def test_degenerate_shapes(self):
         assert uniform_rank_pmf(0, 3, 256) == [1.0]
+        assert uniform_rank_pmf(np.int64(2), 0, 2) == [1.0]
         assert uniform_rank_pmf(1, 1, 2) == pytest.approx([0.5, 0.5], abs=1e-15)
 
 
@@ -630,6 +645,10 @@ def _replace(**fields):
         (lambda: bin_d_pmf(1, 2.5, 0.5, 0.9), "n must be a nonnegative integer"),
         (lambda: RankDistribution.degenerate(4, rank="x"), "rank must be a positive integer"),
         (lambda: RankDistribution.degenerate(4, rank=2.0), "rank must be a positive integer"),
+        (lambda: uniform_rank_pmf(-1, 2, 2), "j must be a nonnegative integer"),
+        (lambda: uniform_rank_pmf(2.5, 2, 2), "j must be a nonnegative integer"),
+        (lambda: uniform_rank_pmf(2, -1, 2), "r must be a nonnegative integer"),
+        (lambda: uniform_rank_pmf(2, 2.5, 2), "r must be a nonnegative integer"),
     ],
     ids=[
         "period-n-zero", "period-n-float", "period-n-str", "period-trials-float",
@@ -641,6 +660,7 @@ def _replace(**fields):
         "ctx-f-nan", "code-batch-float", "degenerate-zero", "binomial-zero",
         "field-size-float", "bin-d-f-above-one", "binom-k-float", "binom-n-float",
         "bin-d-k-float", "bin-d-n-float", "degenerate-rank-str", "degenerate-rank-float",
+        "rank-pmf-j-negative", "rank-pmf-j-float", "rank-pmf-r-negative", "rank-pmf-r-float",
     ],
 )
 def test_library_counts_are_checked(call, message):
