@@ -258,9 +258,9 @@ class TestHopCaches:
             lookups.append(n)
             return real_plan(ctx, n)
 
-        def counted_post_init(self):
-            contexts.append(self)
-            real_post_init(self)
+        def counted_post_init(context):
+            contexts.append(context)
+            real_post_init(context)
 
         real_plan = frame._plan
         real_post_init = AggregationContext.__post_init__
