@@ -24,7 +24,7 @@ matrices, about one in 65 536 of a uniform 4x4 stack, are ranked again
 from their original entries by an exact pivot-search kernel, in one call
 per stack.  About 31 million uniform 4x4 matrices are ranked per second on
 one core this way (a stack of 16 384, median of 21 calls, on a 2-core Xeon
-with numpy 2.4; 22 million with the pivot search alone).  The layout suits
+with numpy 2.4; 21 million with the pivot search alone).  The layout suits
 stacks of many small matrices; a stack of a few matrices with hundreds of
 rows still spends much of its time clearing columns in numpy calls on
 short runs.
