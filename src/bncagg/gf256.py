@@ -10,24 +10,21 @@ swaps and no per-matrix branching, on a uint8 copy transposed so that
 rows <= cols and laid out (cols, rows, count): every elementwise step runs
 along the stack.  One elimination pass takes the diagonal as the pivot of
 each of the first rows - 1 columns.  A matrix whose diagonal entry is zero
-first adds to that row the first lower row that is nonzero in the column;
-only those few matrices are gathered and scattered.  Each lower row's
-factor is its entry times the pivot's inverse, and each trailing column is
-cleared with one product-table lookup per entry, from uint16 indices.  Rows
-0 .. rows - 2 then hold nonzero pivots, and the last row adds one to the
-rank if any entry of it is left.  A single row or column short-circuits to
-"any nonzero entry".
+first adds to that row the first lower row that is nonzero in the column.
+If the column is zero from the diagonal down, the first later column that
+is nonzero in those rows is added to it first; with none, those rows are
+zero and the column adds no pivot.  Only those few matrices are gathered
+and scattered.  Each lower row's factor is its entry times the pivot's
+inverse, and each trailing column is cleared with one product-table lookup
+per entry, from uint16 indices.  The last row adds one to the rank if any
+entry of it is left.  A single row or column short-circuits to "any
+nonzero entry".
 
-A matrix whose column is zero from the diagonal down cannot be repaired by
-a lower row, yet may still reach full rank through a later column.  Such
-matrices, about one in 65 536 of a uniform 4x4 stack, are ranked again
-from their original entries by an exact pivot-search kernel, in one call
-per stack.  About 31 million uniform 4x4 matrices are ranked per second on
-one core this way (a stack of 16 384, median of 21 calls, on a 2-core Xeon
-with numpy 2.4; 21 million with the pivot search alone).  The layout suits
-stacks of many small matrices; a stack of a few matrices with hundreds of
-rows still spends much of its time clearing columns in numpy calls on
-short runs.
+About 35 million uniform 4x4 matrices are ranked per second on one core (a
+stack of 16 384, median of 21 calls, on a 2-core Xeon with numpy 2.4).  The
+layout suits stacks of many small matrices; a stack of a few matrices with
+hundreds of rows still spends much of its time clearing columns in numpy
+calls on short runs.
 """
 
 from __future__ import annotations
@@ -108,7 +105,11 @@ def gf256_rank_many(matrices: np.ndarray) -> np.ndarray:
     # A private uint8 copy laid out (cols, rows, count): entry (r, c) of every
     # matrix is one contiguous run, so each step below loops along count.
     work = a.transpose(2, 1, 0).astype(np.uint8, order="C")
-    stuck = np.zeros(count, dtype=bool)
+    # Rows 0 .. rows - 2 each add a diagonal pivot, less one for every column
+    # that finds none.  Held in the smallest dtype until the end: a count-long
+    # int64 array live through the loop timed 35% slower on 16 384 4x4
+    # matrices.
+    rank = np.full(count, rows - 1, dtype=np.min_scalar_type(rows))
     for col in range(rows - 1):
         # Only entries right of and below the diagonal are read from here on,
         # so column col of the lower rows is never cleared.
@@ -116,14 +117,24 @@ def gf256_rank_many(matrices: np.ndarray) -> np.ndarray:
         pivot = column[col]
         zero = np.flatnonzero(pivot == 0)
         if zero.size:
+            empty = zero[~column[col + 1 :, zero].any(axis=0)]
+            if empty.size:
+                # Column col is zero from the diagonal down.  Adding to it, in
+                # rows col .., the first later column that is nonzero there
+                # keeps the rank.  With no such column rows col .. are zero,
+                # so this column adds no pivot.
+                later = work[col + 1 :, col:, empty].any(axis=1)
+                found = later.any(axis=0)
+                rank[empty[~found]] -= 1
+                fix = empty[found]
+                work[col, col:, fix] = work[col + 1 + later[:, found].argmax(axis=0), col:, fix]
+                zero = zero[pivot[zero] == 0]
             # Adding a lower row keeps the rank: the first one that is nonzero
-            # in this column repairs the pivot.  A matrix with no such row is
-            # stuck and is ranked again by the pivot search; until then its
-            # pivot stays 0, whose inverse reads 0, so no row of it changes.
+            # in this column repairs the pivot.  A matrix with no such row
+            # keeps the pivot 0, whose inverse reads 0, so no row of it changes.
             below = column[col + 1 :, zero] != 0
             first = below.argmax(axis=0)
             found = below.any(axis=0)
-            stuck[zero[~found]] = True
             fix = zero[found]
             work[col:, col, fix] ^= work[col:, col + 1 + first[found], fix]
         # Each lower row's factor is its entry times the pivot's inverse; one
@@ -143,69 +154,6 @@ def gf256_rank_many(matrices: np.ndarray) -> np.ndarray:
             np.bitwise_or(factor, work[start : start + n, col, None], out=index[:n])
             np.take(GF_MUL_TABLE, index[:n], out=product[:n], mode="clip")
             work[start : start + n, col + 1 :] ^= product[:n]
-    # Rows 0 .. rows - 2 hold nonzero diagonal pivots; the last row adds one
-    # if any entry of it is left.
-    rank = work[rows - 1 :, rows - 1].any(axis=0).astype(np.int64)
-    rank += rows - 1
-    stuck = np.flatnonzero(stuck)
-    if stuck.size:
-        rank[stuck] = _rank_pivoting(a[stuck])
-    return rank
-
-
-def _rank_pivoting(matrices: np.ndarray) -> np.ndarray:
-    """Rank of each matrix in a (count, rows, cols) stack, 2 <= rows <= cols.
-
-    Exact for any stack, but slower than the diagonal pass: for each column
-    the first nonzero row is the pivot, read with one gather along the
-    stack.  The pivot row's trailing entries are scaled by the pivot's
-    inverse, and each trailing column of every row is then cleared with one
-    product-table lookup.
-    """
-    count, rows, cols = matrices.shape
-    a = matrices.transpose(2, 1, 0).astype(np.uint8, order="C")
-    rank = np.zeros(count, dtype=np.min_scalar_type(rows))
-    # Row r weighs rows - r, so the heaviest nonzero entry of a column is
-    # its first nonzero one.
-    weight = np.arange(rows, 0, -1, dtype=rank.dtype)[:, None]
-    key = np.empty((rows, count), dtype=rank.dtype)
-    # Trailing columns are cleared `group` at a time, as in the diagonal
-    # pass.  The product-table indices are built in an intp buffer, as
-    # np.take copies any other index type into a temporary intp array.
-    group = min(cols - 1, max(1, (1 << 15) // (rows * count)))
-    index = np.empty((group, rows, count), dtype=np.intp)
-    product = np.empty((group, rows, count), dtype=np.uint8)
-    stack = np.arange(count)
-    for col in range(cols):
-        # A row that was a pivot is zero in every later column (see below),
-        # so the first nonzero entry of the column is the first unused one.
-        column = a[col]
-        np.multiply(column != 0, weight, out=key)
-        top = key.max(axis=0)
-        rank += top != 0
-        if col + 1 == cols or rank.min() == rows:
-            break
-        # Row rows - top holds the pivot; a zero column (top = 0) reads row 0,
-        # which is zero there too, so its pivot reads 0, whose inverse is 0,
-        # and nothing changes.  Scale the pivot row's trailing entries by the
-        # pivot's inverse, then subtract column col's multiple of that row
-        # from every row, the pivot row included, which clears it.
-        trailing = a[col + 1 :]
-        pivot_row = (rows - top.astype(np.intp)) % rows
-        scaled = trailing[:, pivot_row, stack].astype(np.intp)
-        scaled |= GF_INV.take(column[pivot_row, stack]) << 8
-        # Every index lies in the 64 KiB table; mode="clip" only skips the
-        # bounds check that raising would need.
-        scaled = GF_MUL_TABLE.take(scaled, mode="clip")
-        # Slot k of `index` starts as (column << 8) and steps by XOR from
-        # one trailing column's scaled entries to the next group's, so that
-        # it holds (column << 8) | scaled[t] when column t is cleared.
-        steps = scaled.copy()
-        steps[group:] ^= scaled[:-group]
-        np.left_shift(column, 8, out=index, dtype=np.intp)
-        for start in range(0, cols - col - 1, group):
-            n = min(group, cols - col - 1 - start)
-            index[:n] ^= steps[start : start + n, None].astype(np.intp)
-            np.take(GF_MUL_TABLE, index[:n], out=product[:n], mode="clip")
-            trailing[start : start + n] ^= product[:n]
+    # The last row adds one if any entry of it is left.
+    rank += work[rows - 1 :, rows - 1].any(axis=0)
     return rank.astype(np.int64)

@@ -324,9 +324,9 @@ class TestReceptionPmfCache:
         base = make_ctx(4, f=0.6, d=0.8, hbar=hbar)
         other_f = make_ctx(4, f=0.7, d=0.8, hbar=hbar)
         other_d = make_ctx(4, f=0.6, d=0.9, hbar=hbar)
-        pmf = aggregate_reception_pmf(3, base)
-        assert not np.allclose(pmf, aggregate_reception_pmf(3, other_f))
-        assert not np.allclose(pmf, aggregate_reception_pmf(3, other_d))
+        pmf = lineage_reception_pmf(3, base)
+        assert not np.allclose(pmf, lineage_reception_pmf(3, other_f))
+        assert not np.allclose(pmf, lineage_reception_pmf(3, other_d))
         assert expected_rank_increment(3, base) != expected_rank_increment(3, other_f)
         assert expected_rank_increment(3, base) != expected_rank_increment(3, other_d)
 

@@ -1,10 +1,12 @@
 """The GF(256) kernel against an independent pure-Python reference."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from bncagg import AggregationContext, ChannelParams, CodeParams, RankDistribution
-from bncagg import ParameterError, TrialConfig, gf256, simulate_period
+from bncagg import ParameterError, TrialConfig, simulate_period
 from bncagg.gf256 import GF_EXP, GF_LOG, GF_MUL_TABLE, gf256_rank_many
 from bncagg.oracle import GF256_MATRIX
 from helpers import gf256_mul_slow, gf256_mul_table_slow, gf256_rank_rows, gf256_rank_slow
@@ -87,6 +89,12 @@ def _planted(case, rng, count=40):
         col = rng.integers(0, 3, size=count)
         upper[np.arange(count), col, col] = 0
         return _product(lower, upper)
+    if case == "zero_block":
+        # U's rows 2 .. are zero, so once columns 0 and 1 are cleared rows
+        # 2 .. are zero and columns 2, 3 and 4 in turn find no later column.
+        lower, upper = _lu(rng, count, 6, 6)
+        upper[:, 2:] = 0
+        return _product(lower, upper)
     if case == "last_diagonal_zero_wide":
         lower, upper = _lu(rng, count, 3, 5)
         upper[:, 2, 2] = 0
@@ -97,30 +105,108 @@ def _planted(case, rng, count=40):
     return _product(lower, upper)
 
 
-# Each planted case: whether every matrix has full rank, and how many times
-# the pivot search runs on the stack.
+# The rank of every matrix of each planted case: full, or one short of it
+# but for the zero block.
 PLANTED = {
-    "repaired": (True, 0),
-    "repaired_deficient": (False, 0),
-    "zero_column_full_rank": (True, 1),
-    "zero_column_deficient": (False, 1),
-    "last_diagonal_zero_wide": (True, 0),
-    "last_diagonal_zero_square": (False, 0),
-    "tall": (True, 1),
+    "repaired": 4,
+    "repaired_deficient": 3,
+    "zero_column_full_rank": 3,
+    "zero_column_deficient": 3,
+    "zero_block": 2,
+    "last_diagonal_zero_wide": 3,
+    "last_diagonal_zero_square": 3,
+    "tall": 3,
 }
 
 
-def _record_pivoting(monkeypatch):
-    """Calls of the pivot-search fallback: one list entry per call."""
-    calls = []
-    pivoting = gf256._rank_pivoting
-
-    def record(matrices):
-        calls.append(np.array(matrices))
-        return pivoting(matrices)
-
-    monkeypatch.setattr(gf256, "_rank_pivoting", record)
-    return calls
+# (kind, rows, cols) -> rank counts and sha256 of the ranks; see
+# TestRankKernel.test_matches_pivot_search_at_scale.
+PIVOT_SEARCH_RANKS = {
+    ("uniform", 2, 2): (
+        [0, 16, 4080],
+        "4706c65b0c66c855eb1a77536e3f196066bbb564622758b031c60dbb850bb280",
+    ),
+    ("uniform", 2, 7): (
+        [0, 0, 4096],
+        "2ef9afba43eac140528106dce3a88c24d0eb293b894173d1f52ffe87f0457ef1",
+    ),
+    ("uniform", 3, 3): (
+        [0, 0, 15, 4081],
+        "b9f168ce1cccad1f17fd69e8a1bff9f803cf177e26efbe73bcf0272e84534533",
+    ),
+    ("uniform", 4, 4): (
+        [0, 0, 0, 13, 4083],
+        "3b1ac787febd325702ab20fbcbcf9b9ff73a567bdcac6aac87a0dc7b632d03b2",
+    ),
+    ("uniform", 6, 3): (
+        [0, 0, 0, 4096],
+        "354ccffb796294fcc9c181997ee5bc011d14e0557bc4b03b3b229723e3e90b12",
+    ),
+    ("uniform", 5, 8): (
+        [0, 0, 0, 0, 0, 4096],
+        "cff4b8a6f075e18dfb2f0cccbb00642144c033948f8017b4f1be40dc4b175b1a",
+    ),
+    ("uniform", 8, 8): (
+        [0, 0, 0, 0, 0, 0, 0, 13, 4083],
+        "927a729db73dce042985052681d8244b5dadd4fa4c2c0dc41939e606de1959bc",
+    ),
+    ("sparse", 2, 2): (
+        [995, 2417, 684],
+        "a303c4c7e55f78c83809914991924582fda6cfb61b5998c06ee7c385f34a9138",
+    ),
+    ("sparse", 2, 7): (
+        [29, 680, 3387],
+        "66422f3f882bebecf9da59a6940a2038287eaf9bd79aaa2387175a48673d9388",
+    ),
+    ("sparse", 3, 3): (
+        [159, 1309, 2054, 574],
+        "050603921f5a338d6a33be4891d2783677eff03c55c1f7371c31eb2dfc23f351",
+    ),
+    ("sparse", 4, 4): (
+        [12, 261, 1226, 2021, 576],
+        "402cd8f9ca87fb0f93a16f717daf0fb1318350ccdc0b8f4b59b2caf13e18f102",
+    ),
+    ("sparse", 6, 3): (
+        [13, 182, 1278, 2623],
+        "ffe62b1669aa0d627fbeccaa1bc23da47476bd0cfc9fa311043cf7f5a87f276e",
+    ),
+    ("sparse", 5, 8): (
+        [0, 0, 10, 167, 1074, 2845],
+        "92f9afeb4c0f05c455d751046aa82e547b7c4569b05fedc2051a8c2bf95742bb",
+    ),
+    ("sparse", 8, 8): (
+        [0, 0, 0, 0, 12, 98, 709, 1979, 1298],
+        "ed88234d027aea0d5f9807e590f7dd5f149cc7bdc86f2b65da7818660aa68594",
+    ),
+    ("low_rank", 2, 2): (
+        [2042, 2054],
+        "bce591be58b168b708ac879c8056cca04aee07c27caf1c9dff2da7d4098f67ee",
+    ),
+    ("low_rank", 2, 7): (
+        [2014, 2082],
+        "d7650b3c187e9b75ad06d8cbc00d9046ad2e7132a374599f679154298704b712",
+    ),
+    ("low_rank", 3, 3): (
+        [1375, 1358, 1363],
+        "1ad1418150594f6d1946fd2833e8d46b692181833cfa60f1f025a915b3294288",
+    ),
+    ("low_rank", 4, 4): (
+        [1020, 1000, 1046, 1030],
+        "023a757d97430c01b17881d6007c5f2c7378f8054d1bde9a09d1d3a3c8f9efea",
+    ),
+    ("low_rank", 6, 3): (
+        [1316, 1421, 1359],
+        "ec622d8390539f1c98867d331a24a12b4b6271f4d1f164e767f4b822cb2d5253",
+    ),
+    ("low_rank", 5, 8): (
+        [834, 839, 770, 812, 841],
+        "03b7e0bea82dc160562258c1586c28b1465c68842c3ac800881177ca740de803",
+    ),
+    ("low_rank", 8, 8): (
+        [532, 524, 506, 539, 525, 499, 498, 473],
+        "8a1915549642351e61adade67a1234a6869d1b5a991807173aa63c1495fdb14d",
+    ),
+}
 
 
 class TestProductTable:
@@ -166,8 +252,8 @@ class TestRankKernel:
         [(2, 2), (2, 3), (3, 2), (2, 4), (4, 4), (3, 5), (5, 3), (8, 8), (32, 32)],
     )
     def test_many_matrix_stacks_match_reference(self, kind, rows, cols):
-        # One trailing column per group, and sparse or low-rank matrices that
-        # the diagonal pass hands to the pivot search.
+        # One trailing column per group, and sparse or low-rank matrices whose
+        # columns are zero from the diagonal down.
         rng = np.random.default_rng(rows * cols + KINDS.index(kind))
         mats = _stack(kind, rng, rows, cols, count=256)
         expect = [gf256_rank_rows(m) for m in mats]
@@ -191,41 +277,53 @@ class TestRankKernel:
 
     @pytest.mark.parametrize("dtype", [np.uint8, np.int64])
     @pytest.mark.parametrize("case", PLANTED)
-    def test_planted_branches(self, case, dtype, monkeypatch):
+    def test_planted_branches(self, case, dtype):
         rng = np.random.default_rng(50 + list(PLANTED).index(case))
         mats = _planted(case, rng).astype(dtype)
-        calls = _record_pivoting(monkeypatch)
         got = gf256_rank_many(mats)
         assert got.tolist() == [gf256_rank_slow(m) for m in mats]
-        full, fallback_calls = PLANTED[case]
-        rank = min(mats.shape[1:])
-        assert (got == rank).all() if full else (got < rank).all()
-        assert len(calls) == fallback_calls
+        assert (got == PLANTED[case]).all()
 
-    def test_pivot_search_runs_once_on_the_stuck_matrices(self, monkeypatch):
+    @pytest.mark.parametrize("rows, cols", [(3, 4), (4, 3)])
+    def test_every_zero_pattern(self, rows, cols):
+        # All 4096 patterns of zero entries, the others seeded nonzero: every
+        # way a column can be zero from the diagonal down, with or without a
+        # later column to repair it.
+        rng = np.random.default_rng(70 + rows)
+        size = rows * cols
+        pattern = (np.arange(1 << size)[:, None] >> np.arange(size)) & 1
+        values = rng.integers(1, 256, size=pattern.shape)
+        mats = (pattern * values).reshape(-1, rows, cols)
+        assert gf256_rank_many(mats).tolist() == [gf256_rank_slow(m) for m in mats]
+
+    def test_zero_pivots_planted_in_a_large_stack(self):
         rng = np.random.default_rng(11)
         lower, upper = _lu(rng, 4096, 4, 4)
-        calls = _record_pivoting(monkeypatch)
         assert (gf256_rank_many(_product(lower, upper)) == 4).all()
-        assert calls == []
-        stuck = np.sort(rng.choice(4096, size=7, replace=False))
-        col = rng.integers(0, 3, size=stuck.size)
-        upper[stuck, col, col] = 0
+        planted = np.sort(rng.choice(4096, size=7, replace=False))
+        col = rng.integers(0, 3, size=planted.size)
+        upper[planted, col, col] = 0
         mats = _product(lower, upper)
         got = gf256_rank_many(mats)
-        assert len(calls) == 1
-        np.testing.assert_array_equal(calls[0], mats[stuck])
-        assert got[stuck].tolist() == [gf256_rank_slow(m) for m in mats[stuck]]
-        assert (np.delete(got, stuck) == 4).all()
+        assert got[planted].tolist() == [gf256_rank_slow(m) for m in mats[planted]]
+        assert (np.delete(got, planted) == 4).all()
 
     @pytest.mark.parametrize("kind", KINDS)
     @pytest.mark.parametrize("rows, cols", [(2, 2), (2, 7), (3, 3), (4, 4), (6, 3), (5, 8), (8, 8)])
     def test_matches_pivot_search_at_scale(self, kind, rows, cols):
-        # Stacks large enough that zero pivots occur in uniform matrices too.
+        """Stacks large enough that zero pivots occur in uniform matrices too.
+
+        The pinned ranks were computed at commit fe0b998 by the exact
+        pivot-search kernel ``gf256._rank_pivoting`` that this module then
+        held, on the transposed stack when rows > cols: per stack, the count
+        of each rank and the sha256 of the ranks as little-endian int64.
+        """
         rng = np.random.default_rng(60 + rows * cols + KINDS.index(kind))
         mats = _stack(kind, rng, rows, cols, count=4096)
-        wide = mats if rows <= cols else mats.transpose(0, 2, 1)
-        np.testing.assert_array_equal(gf256_rank_many(mats), gf256._rank_pivoting(wide))
+        ranks = gf256_rank_many(mats)
+        counts, digest = PIVOT_SEARCH_RANKS[kind, rows, cols]
+        assert np.bincount(ranks).tolist() == counts
+        assert hashlib.sha256(ranks.astype("<i8").tobytes()).hexdigest() == digest
 
     def test_low_rank_stacks_are_deficient(self):
         rng = np.random.default_rng(3)

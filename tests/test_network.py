@@ -16,8 +16,8 @@ from bncagg import (
     simulate_line_network,
 )
 from bncagg import frame, network
-from bncagg.frame import _transition
-from bncagg.network import _evolve_full, aggregate_reception_pmf
+from bncagg.frame import _transition, lineage_reception_pmf
+from bncagg.network import _evolve_full
 from bncagg.scenario import ScenarioConfig
 from helpers import line_network_reference, make_ctx, reception_pmf_bruteforce
 
@@ -70,19 +70,19 @@ class TestReceptionPmf:
     def test_normalized(self):
         ctx = make_ctx(5, f=0.6, d=0.8)
         for n in (1, 2, 3, 5, 8):
-            pmf = aggregate_reception_pmf(n, ctx)
+            pmf = lineage_reception_pmf(n, ctx)
             assert pmf.sum() == pytest.approx(1.0, abs=1e-12)
             assert pmf.size == 6
 
     def test_lossless_all_mass_at_m(self):
         ctx = make_ctx(4, f=1.0, d=1.0)
-        pmf = aggregate_reception_pmf(3, ctx)
+        pmf = lineage_reception_pmf(3, ctx)
         assert pmf[4] == pytest.approx(1.0, abs=1e-12)
 
     def test_single_group_case(self):
         # N >= M with M | N: every batch rides exactly one frame.
         ctx = make_ctx(3, f=0.7, d=0.9)
-        pmf = aggregate_reception_pmf(6, ctx)
+        pmf = lineage_reception_pmf(6, ctx)
         from bncagg.probability import bin_d_pmf
 
         for j in range(4):
@@ -103,7 +103,7 @@ class TestReceptionPmf:
         assert np.allclose(t.sum(axis=1), 1.0, atol=1e-12)
         assert not np.triu(t, k=1).any()
         for r in range(5):
-            assert np.allclose(t[r, :r], aggregate_reception_pmf(3, ctx)[:r], atol=0)
+            assert np.allclose(t[r, :r], lineage_reception_pmf(3, ctx)[:r], atol=0)
 
 
 class TestEvolution:
