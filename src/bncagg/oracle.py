@@ -56,8 +56,9 @@ takes each hop's N from ``NodeStrategy.choose``, as the exact line network
 does.  ``enumerate_period_exact`` shares no lineage code with the model
 either: it splits each batch by walking its packet positions frame by
 frame, where the model states the split in closed form by the offset law,
-and it builds each group's pmf by brute force, cached read-only per
-(size, f, d): ``validate`` asks for the same ten about two thousand times.
+and it convolves brute-force group pmfs into each batch's.  ``validate`` asks
+for the same ones again and again, so the walk per (M, N) and the pmfs per
+group and per batch (sizes, f, d) are cached read-only.
 """
 
 from __future__ import annotations
@@ -74,7 +75,7 @@ from .frame import AggregationContext, _resolve, frame_size
 from .gf256 import gf256_rank_many
 from .network import NodeStrategy
 from .params import EnumerationSizeError, ParameterError, RankDistribution
-from .params import nonnegative_int, positive_int
+from .params import nonnegative_int, ordered_sum, positive_int
 
 RANK_COUNTING = "rank_counting"
 GF256_MATRIX = "gf256_matrix"
@@ -84,9 +85,12 @@ _CHUNK = 1 << 16
 _BLOCK = 1 << 18  # words drawn or coefficients ranked at once; 2 MiB of uint64
 _WORD_LIMIT = 1 << 64
 _MAX_ENUM_TERMS = 1 << 24
-# Bound on the cached brute-force group pmfs, each at most 24 floats (the
-# enumeration bound caps M at 23).
-_GROUP_CACHE_SIZE = 256
+# Bound on each cache of brute-force pmfs, per group and per batch; a pmf is
+# at most 24 floats (the enumeration bound caps M at 23).
+_PMF_CACHE_SIZE = 256
+# Bound on the cached walks, one per (M, N): a tuple of group sizes for each
+# of the lcm(M, N) / M batches, at most 2^(23 - M) within the enumeration bound.
+_WALK_CACHE_SIZE = 32
 
 
 def _check_mode(mode: str) -> None:
@@ -358,8 +362,8 @@ def enumerate_period_exact(
     Expectation is additive over the batches of a period, so each batch's
     increment is enumerated over all survival patterns of its own packets and
     the header events of the frames it touches.  The groups come from a walk
-    over the batch's packet positions and the group pmfs from
-    :func:`_group_pmf_brute`, both independent of the production model.
+    over the batch's packet positions and its pmf from brute-force group pmfs
+    (:func:`_packet_walk`, :func:`_lineage_pmf_brute`), both model-free.
 
     With ``field_size=None`` a batch of rank r that receives j packets gains
     min(j, r), the large-field model.  With a prime power q it gains the
@@ -373,31 +377,45 @@ def enumerate_period_exact(
         rank = min
     else:
         def rank(j: int, r: int) -> float:
-            return sum(k * p for k, p in enumerate(uniform_rank_pmf(j, r, field_size)))
+            return ordered_sum(k * p for k, p in enumerate(uniform_rank_pmf(j, r, field_size)))
     m = ctx.code.batch_size
-    period = math.lcm(m, n)
-    lineages = [  # the packet positions p of each batch, grouped by frame p // N
-        [len(list(g)) for _, g in itertools.groupby(range(b, b + m), lambda p: p // n)]
-        for b in range(0, period, m)
+    lineages = _packet_walk(m, n)
+    if ctx.d <= 0.0:
+        raise ParameterError("header survival is zero; E is undefined")
+    hbar = ctx.rank_dist.masses
+    emin = [
+        ordered_sum(hbar[r - 1] * rank(j, r) for r in range(1, m + 1)) for j in range(m + 1)
     ]
+    total = 0.0
+    for groups in lineages:
+        pmf = _lineage_pmf_brute(groups, ctx.f, ctx.d).tolist()
+        total += ordered_sum(p * e for p, e in zip(pmf, emin))
+    return total / (math.lcm(m, n) // n * ctx.d)
+
+
+@functools.lru_cache(maxsize=_WALK_CACHE_SIZE)
+def _packet_walk(m: int, n: int) -> tuple[tuple[int, ...], ...]:
+    """Each batch's packets per frame p // N, from its positions p; raises if too big."""
+    lineages = tuple(
+        tuple(len(list(g)) for _, g in itertools.groupby(range(b, b + m), lambda p: p // n))
+        for b in range(0, math.lcm(m, n), m)
+    )
     cost = sum(2 ** (m + len(groups)) for groups in lineages)
     if cost > _MAX_ENUM_TERMS:
         raise EnumerationSizeError(
             f"enumeration needs {cost} terms, above the {_MAX_ENUM_TERMS} bound"
         )
-    if ctx.d <= 0.0:
-        raise ParameterError("header survival is zero; E is undefined")
-    hbar = ctx.rank_dist.masses
-    emin = [
-        sum(hbar[r - 1] * rank(j, r) for r in range(1, m + 1)) for j in range(m + 1)
-    ]
-    total = 0.0
-    for groups in lineages:
-        pmf = np.ones(1)
-        for size in groups:
-            pmf = np.convolve(pmf, _group_pmf_brute(size, ctx.f, ctx.d))
-        total += sum(pmf[j] * emin[j] for j in range(pmf.size))
-    return total / (period // n * ctx.d)
+    return lineages
+
+
+@functools.lru_cache(maxsize=_PMF_CACHE_SIZE)
+def _lineage_pmf_brute(groups: tuple[int, ...], f: float, d: float) -> np.ndarray:
+    """Received-count pmf of a batch with ``groups`` packets per frame, read-only."""
+    pmf = np.ones(1)
+    for size in groups:
+        pmf = np.convolve(pmf, _group_pmf_brute(size, f, d))
+    pmf.flags.writeable = False
+    return pmf
 
 
 def uniform_rank_pmf(j: int, r: int, q: int) -> list[float]:
@@ -431,7 +449,7 @@ def _is_prime_power(q: int) -> bool:
     return q == 1
 
 
-@functools.lru_cache(maxsize=_GROUP_CACHE_SIZE)
+@functools.lru_cache(maxsize=_PMF_CACHE_SIZE)
 def _group_pmf_brute(size: int, f: float, d: float) -> np.ndarray:
     """Received-count pmf for one group, by enumerating each packet's bit.
 

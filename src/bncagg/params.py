@@ -65,6 +65,14 @@ def probability(value, name: str, below_one: bool = False) -> float:
     raise ParameterError(f"{name} must be in [0, 1{')' if below_one else ']'}, got {value!r}")
 
 
+def ordered_sum(values) -> float:
+    """Floats added left to right from 0.0, as ``sum`` did before Python 3.12 compensated."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
 CHECKSUM = "checksum"
 FEC = "fec"
 
@@ -152,7 +160,7 @@ class RankDistribution:
             raise ParameterError("rank distribution needs at least one rank")
         # A NaN or infinite mass makes the sum non-finite; only then are the
         # masses read one by one, to tell it from finite masses that overflow.
-        total = sum(masses)
+        total = ordered_sum(masses)
         if not math.isfinite(total) and not all(map(math.isfinite, masses)):
             raise ParameterError("rank masses must be finite")
         if min(masses) < 0.0:
@@ -175,15 +183,16 @@ class RankDistribution:
             raise ParameterError(
                 f"rank masses must form a 1-d sequence, got shape {masses.shape}"
             )
-        total = sum(masses.tolist())
+        values = masses.tolist()
+        total = ordered_sum(values)
         if total == math.inf and np.isfinite(masses).all():
-            masses = masses / masses.max()
-            total = sum(masses.tolist())
+            values = (masses / masses.max()).tolist()
+            total = ordered_sum(values)
         if not (math.isfinite(total) and total > 0.0):
             raise ParameterError(
                 f"rank masses must have a positive finite total, got {total!r}"
             )
-        return cls(tuple((masses / total).tolist()))
+        return cls(tuple([value / total for value in values]))
 
     @classmethod
     def degenerate(cls, batch_size: int, rank: int | None = None) -> "RankDistribution":

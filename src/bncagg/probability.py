@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 
 from .params import CHECKSUM, ChannelParams, CodeParams, ParameterError
-from .params import nonnegative_int, probability
+from .params import nonnegative_int, ordered_sum, probability
 
 
 def binom_pmf(k: int, n: int, x: float) -> float:
@@ -81,4 +81,4 @@ def bnc_packet_survival(p: float, code: CodeParams) -> float:
     symbol_error = -math.expm1(8.0 * math.log1p(-p)) if p > 0.0 else 0.0
     errors = range(code.integrity // 2 + 1)
     # At a tiny BER the partial sum of the pmf can round to just above 1.
-    return min(sum(binom_pmf(e, size, symbol_error) for e in errors), 1.0)
+    return min(ordered_sum(binom_pmf(e, size, symbol_error) for e in errors), 1.0)

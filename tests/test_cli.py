@@ -277,6 +277,32 @@ class TestValidateAndConfig:
         assert "FAIL exhaustive-oracle" in report
         assert report.endswith("3 failure(s)\n")
 
+    @pytest.mark.parametrize(
+        "tied, named",
+        [
+            # M before N, N before (f, d), (f, d) before the rank law.
+            ([(3, 1, 0.6, "binomial"), (2, 4, 1.0, "degenerate")], "(2, 4, 1.0, 1.0)"),
+            ([(2, 5, 0.6, "degenerate"), (2, 4, 1.0, "binomial")], "(2, 4, 1.0, 1.0)"),
+            ([(2, 4, 1.0, "degenerate"), (2, 4, 0.6, "binomial")], "(2, 4, 0.6, 0.85)"),
+        ],
+    )
+    def test_oracle_line_names_the_first_largest_delta(self, tied, named, capsys, monkeypatch):
+        # The delta is 0.5 at the two tied cells and 0 elsewhere; the line
+        # names the first of them in (M, N, (f, d), rank law) order.
+        def law(ctx):
+            m = ctx.code.batch_size
+            return "degenerate" if ctx.rank_dist == RankDistribution.degenerate(m) else "binomial"
+
+        def exact(ctx, n):
+            return 0.5 if (ctx.code.batch_size, n, ctx.f, law(ctx)) in tied else 0.0
+
+        monkeypatch.setattr(cli, "expected_rank_increment", lambda n, ctx: 0.0)
+        monkeypatch.setattr(cli, "enumerate_period_exact", exact)
+        code, out, _ = run_cli(["validate", "--trials", "2000"], capsys)
+        assert code == 1
+        line = f"FAIL exhaustive-oracle: max |analytical - exact| = 5.000e-01 at {named}\n"
+        assert line in out
+
     def test_validate_passes_when_no_trial_receives_a_packet(self, capsys):
         # Fails at the parent: every trial reads 0, se = 0, and both Monte
         # Carlo lines FAILed working code.

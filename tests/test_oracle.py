@@ -2,6 +2,8 @@ import contextlib
 import dataclasses
 import hashlib
 import io
+import itertools
+import json
 import math
 import re
 from pathlib import Path
@@ -38,6 +40,8 @@ from bncagg.oracle import (
     _Coefficients,
     _draw_ranks,
     _group_pmf_brute,
+    _lineage_pmf_brute,
+    _packet_walk,
     _word_bound,
     simulate_periods,
     uniform_rank_pmf,
@@ -515,6 +519,61 @@ class TestEnumeratePeriod:
         # A direct call raised ZeroDivisionError at q = 1 before.
         with pytest.raises(ParameterError, match="field size must be a"):
             uniform_rank_pmf(2, 2, q)
+
+    def test_validate_cells_pinned_bit_for_bit(self):
+        # validate's 100 cells, and the GF(256) ones at M <= 4, as float.hex.
+        # validate itself shows these only through a 3-digit max delta.
+        path = Path(__file__).resolve().parent / "data" / "enumerate_period_exact_hex.json"
+        pinned = json.loads(path.read_text())
+        assert len(pinned) == 180
+        for key, want in pinned.items():
+            m, n, f, d, law, field = key.split(",")
+            m, n = int(m), int(n)
+            if law == "degenerate":
+                hbar = RankDistribution.degenerate(m)
+            else:
+                hbar = RankDistribution.truncated_binomial(m, 0.8)
+            ctx = make_ctx(m, f=float(f), d=float(d), hbar=hbar)
+            field_size = None if field == "large" else int(field)
+            assert enumerate_period_exact(ctx, n, field_size).hex() == want, key
+
+    @pytest.mark.parametrize("f, d", [(0.6, 0.85), (1.0, 1.0)])
+    def test_caches_match_uncached_walk_and_pmfs(self, f, d):
+        for m, n in itertools.product(range(1, 13), repeat=2):
+            walk = [
+                [len(list(g)) for _, g in itertools.groupby(range(b, b + m), lambda p: p // n)]
+                for b in range(0, math.lcm(m, n), m)
+            ]
+            cached = _packet_walk(m, n)
+            assert isinstance(cached, tuple) and all(isinstance(g, tuple) for g in cached)
+            assert [list(groups) for groups in cached] == walk
+            for groups in cached:
+                pmf = np.ones(1)
+                for size in groups:
+                    pmf = np.convolve(pmf, _group_pmf_brute(size, f, d))
+                got = _lineage_pmf_brute(groups, f, d)
+                assert np.array_equal(got, pmf), (m, n, groups)
+                assert not got.flags.writeable
+                with pytest.raises(ValueError):
+                    got[0] = 1.0
+
+    def test_caches_rebuild_the_same_values(self):
+        ctx = make_ctx(5, f=0.6, d=0.85, hbar=RankDistribution.truncated_binomial(5, 0.8))
+        warm_walk = _packet_walk(5, 3)
+        warm_pmf = _lineage_pmf_brute((1, 3, 1), 0.6, 0.85)
+        warm = enumerate_period_exact(ctx, 3)
+        for cached in (_packet_walk, _lineage_pmf_brute, _group_pmf_brute):
+            cached.cache_clear()
+        assert enumerate_period_exact(ctx, 3) == warm
+        assert _packet_walk(5, 3) == warm_walk
+        assert np.array_equal(_lineage_pmf_brute((1, 3, 1), 0.6, 0.85), warm_pmf)
+
+    def test_walk_too_large_is_not_cached(self):
+        _packet_walk.cache_clear()
+        for _ in range(2):
+            with pytest.raises(EnumerationSizeError):
+                _packet_walk(18, 5)
+        assert _packet_walk.cache_info().currsize == 0
 
     def test_group_pmf_is_cached_read_only(self):
         pmf = _group_pmf_brute(3, 0.6, 0.85)

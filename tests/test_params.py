@@ -11,6 +11,8 @@ import numpy as np
 import pytest
 
 from bncagg import ParameterError, RankDistribution
+from bncagg.params import ordered_sum
+from bncagg.probability import binom_pmf
 
 NAN, INF = math.nan, math.inf
 
@@ -154,3 +156,26 @@ def test_scalar_rules_are_written_only_in_params():
         if pattern.search(line)
     ]
     assert not found, "\n".join(found)
+
+
+class TestOrderedSum:
+    # From Python 3.12 the builtin sum compensates float rounding; these are
+    # the left-to-right totals that every supported Python must give.
+    def test_adds_left_to_right(self):
+        assert ordered_sum([1e16, 1.0, -1e16]) == 0.0
+        assert ordered_sum([0.1] * 10) == 0.9999999999999999
+        assert ordered_sum(x for x in (0.5, 0.25)) == 0.75
+
+    def test_truncated_binomial_bits(self):
+        # A compensated sum of these five terms is 0x1.ffd60e94ee39ap-1, and
+        # dividing by it moves every mass of the law by one ulp.
+        terms = [binom_pmf(r, 5, 0.8) for r in range(1, 6)]
+        assert ordered_sum(terms).hex() == "0x1.ffd60e94ee39bp-1"
+        masses = RankDistribution.truncated_binomial(5, 0.8).masses
+        assert [m.hex() for m in masses] == [
+            "0x1.a3908d9a62fdfp-8",
+            "0x1.a3908d9a62fd4p-5",
+            "0x1.a3908d9a62fd9p-3",
+            "0x1.a3908d9a62fe0p-2",
+            "0x1.4fa6d7aeb5978p-2",
+        ]
