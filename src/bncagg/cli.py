@@ -16,8 +16,14 @@ does; that case prints nothing to stderr.  ``--out FILE`` must name a file
 in an existing directory, checked before the command runs, and is written
 only when the command returns 0 or 1, so a failing run leaves it as it was.
 
-``main`` builds the argument parser once per process and reuses it on every
-call; ``build_parser`` still returns a fresh one.
+Exit 2 also covers a run too large for memory, such as ``throughput --mc``
+with a huge ``--trials``: it prints the ``MemoryError`` as ``error: ...``.
+
+Two things are built once per process and reused on every call: the argument
+parser (``_parser``; ``build_parser`` still returns a fresh one) and the
+result of ``validate``'s phase-structure grid (``_phase_grid_mismatch``),
+which reads no input.  So a one-shot ``bncagg validate`` still pays the grid
+once, and only a later ``validate`` in the same process skips it.
 """
 
 from __future__ import annotations
@@ -121,21 +127,12 @@ def cmd_throughput(config: ScenarioConfig, out: TextIO) -> int:
     return 0
 
 
-def cmd_validate(config: ScenarioConfig, out: TextIO) -> int:
-    """Phase grid, E against the oracle (contexts built once per M), Monte Carlo."""
-    mode_name = _single_mode(config, "validate")
-    if config.trials < 100:  # fewer trials can all agree: se = 0 FAILs working code
-        raise ParameterError(f"validate needs --trials >= 100, got {config.trials}")
-    failures = 0
+@functools.cache
+def _phase_grid_mismatch() -> tuple[int, int] | None:
+    """The first (M, N) of the grid whose phases miss their closed forms, or None.
 
-    def report(name: str, ok: bool, detail: str) -> None:
-        nonlocal failures
-        if not ok:
-            failures += 1
-        out.write(f"{'PASS' if ok else 'FAIL'} {name}: {detail}\n")
-
-    # Integer phase structure checks over a coarse grid.
-    worst = None
+    The grid reads no input, so a process checks it once.
+    """
     for m in range(2, 41):
         for n in range(1, 41):
             g = math.gcd(m, n)
@@ -147,8 +144,25 @@ def cmd_validate(config: ScenarioConfig, out: TextIO) -> int:
             else:
                 ok &= phases.count(n) == (m - n + g) // g
                 ok &= len(case_ii_sk_pairs(m, n)) == (m - n + g) // g
-            if not ok and worst is None:
-                worst = (m, n)
+            if not ok:
+                return m, n
+    return None
+
+
+def cmd_validate(config: ScenarioConfig, out: TextIO) -> int:
+    """Phase grid (cached), E against the oracle (contexts built once per M), Monte Carlo."""
+    mode_name = _single_mode(config, "validate")
+    if config.trials < 100:  # fewer trials can all agree: se = 0 FAILs working code
+        raise ParameterError(f"validate needs --trials >= 100, got {config.trials}")
+    failures = 0
+
+    def report(name: str, ok: bool, detail: str) -> None:
+        nonlocal failures
+        if not ok:
+            failures += 1
+        out.write(f"{'PASS' if ok else 'FAIL'} {name}: {detail}\n")
+
+    worst = _phase_grid_mismatch()
     report(
         "phase-structure",
         worst is None,
@@ -305,8 +319,9 @@ def main(argv: list[str] | None = None) -> int:
         # it at the null device, where that flush cannot fail.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141
-    except (ParameterError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ParameterError, OSError, MemoryError) as exc:
+        # numpy's MemoryError names the allocation; a bare one says nothing.
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
 
 

@@ -57,8 +57,11 @@ does.  ``enumerate_period_exact`` shares no lineage code with the model
 either: it splits each batch by walking its packet positions frame by
 frame, where the model states the split in closed form by the offset law,
 and it convolves brute-force group pmfs into each batch's.  ``validate`` asks
-for the same ones again and again, so the walk per (M, N) and the pmfs per
-group and per batch (sizes, f, d) are cached read-only.
+for the same ones again and again, so four bounded caches hold them
+read-only: the walk per (M, N) (``_packet_walk``), the pmfs per group and
+per batch (sizes, f, d) (``_group_pmf_brute``, ``_lineage_pmf_brute``), and
+a batch's mean increment per received count, per (rank masses, field size)
+(``_batch_gains``).
 """
 
 from __future__ import annotations
@@ -91,6 +94,9 @@ _PMF_CACHE_SIZE = 256
 # Bound on the cached walks, one per (M, N): a tuple of group sizes for each
 # of the lcm(M, N) / M batches, at most 2^(23 - M) within the enumeration bound.
 _WALK_CACHE_SIZE = 32
+# Bound on the cached batch gains, one tuple of M + 1 floats per (rank
+# masses, field size); validate asks for 10.
+_GAINS_CACHE_SIZE = 64
 
 
 def _check_mode(mode: str) -> None:
@@ -373,24 +379,38 @@ def enumerate_period_exact(
     checks the field size.
     """
     n = positive_int(n)
+    m = ctx.code.batch_size
+    lineages = _packet_walk(m, n)
+    if ctx.d <= 0.0:
+        raise ParameterError("header survival is zero; E is undefined")
+    if field_size is not None:
+        # 2.0 and True hash as 2 and 1: made ints first, they cannot hit a cached key.
+        field_size = positive_int(field_size, "field size")
+    gains = _batch_gains(tuple(ctx.rank_dist.masses), field_size)  # list masses cannot key it
+    total = 0.0
+    for groups in lineages:
+        pmf = _lineage_pmf_brute(groups, ctx.f, ctx.d).tolist()
+        total += ordered_sum(p * e for p, e in zip(pmf, gains))
+    return total / (math.lcm(m, n) // n * ctx.d)
+
+
+@functools.lru_cache(maxsize=_GAINS_CACHE_SIZE)
+def _batch_gains(masses: tuple[float, ...], field_size: int | None) -> tuple[float, ...]:
+    """Entry j: a batch's mean increment from j received packets, j = 0..M.
+
+    Sums masses[r - 1] * rank(j, r) over r = 1..M, where rank is min(j, r) in
+    the large field and the mean rank of a uniform j x r matrix over GF(q)
+    otherwise; ``uniform_rank_pmf`` checks q, and a bad q is never cached.
+    """
     if field_size is None:
         rank = min
     else:
         def rank(j: int, r: int) -> float:
             return ordered_sum(k * p for k, p in enumerate(uniform_rank_pmf(j, r, field_size)))
-    m = ctx.code.batch_size
-    lineages = _packet_walk(m, n)
-    if ctx.d <= 0.0:
-        raise ParameterError("header survival is zero; E is undefined")
-    hbar = ctx.rank_dist.masses
-    emin = [
-        ordered_sum(hbar[r - 1] * rank(j, r) for r in range(1, m + 1)) for j in range(m + 1)
-    ]
-    total = 0.0
-    for groups in lineages:
-        pmf = _lineage_pmf_brute(groups, ctx.f, ctx.d).tolist()
-        total += ordered_sum(p * e for p, e in zip(pmf, emin))
-    return total / (math.lcm(m, n) // n * ctx.d)
+    m = len(masses)
+    return tuple(
+        ordered_sum(masses[r - 1] * rank(j, r) for r in range(1, m + 1)) for j in range(m + 1)
+    )
 
 
 @functools.lru_cache(maxsize=_WALK_CACHE_SIZE)

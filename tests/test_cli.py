@@ -251,6 +251,51 @@ class TestParserReuse:
         assert len(built) == 1
 
 
+class TestPhaseGridCache:
+    """``validate`` checks the input-free phase grid once per process."""
+
+    @pytest.fixture(autouse=True)
+    def fresh_grid(self):
+        cli._phase_grid_mismatch.cache_clear()
+        yield
+        cli._phase_grid_mismatch.cache_clear()
+
+    @pytest.mark.parametrize(
+        "bad, named",
+        [
+            # M before N: (5, 9) comes first, and it is an M <= N cell.
+            ({(7, 3), (5, 9)}, "(5, 9)"),
+            ({(30, 2), (7, 3)}, "(7, 3)"),
+        ],
+    )
+    def test_fail_line_names_the_first_bad_cell(self, bad, named, capsys, monkeypatch):
+        real = cli.phase_sequence
+
+        def faulty(m, n):
+            return real(m, n) + ([n] if (m, n) in bad else [])
+
+        monkeypatch.setattr(cli, "phase_sequence", faulty)
+        code, out, _ = run_cli(["validate", "--trials", "2000"], capsys)
+        assert code == 1
+        assert out.startswith(f"FAIL phase-structure: first mismatch at {named}\n")
+        assert out.endswith("1 failure(s)\n")
+
+    def test_grid_runs_once_per_process(self, capsys, monkeypatch):
+        cells = []
+        real = cli.phase_sequence
+
+        def counting(m, n):
+            cells.append((m, n))
+            return real(m, n)
+
+        monkeypatch.setattr(cli, "phase_sequence", counting)
+        reports = [run_cli(["validate", "--trials", "2000"], capsys) for _ in range(2)]
+        assert len(cells) == len(set(cells)) == 39 * 40
+        assert reports[0] == reports[1]
+        assert reports[0][0] == 0
+        assert reports[0][1].startswith("PASS phase-structure: ")
+
+
 class TestValidateAndConfig:
     def test_validate_report_pinned(self, capsys):
         # The full default report, seeded: phase grid, exhaustive oracle
@@ -461,6 +506,23 @@ class TestConfigBoundary:
         )
         assert code == 2
         assert "trials must be a positive integer" in err
+
+    @pytest.mark.parametrize(
+        "exc, message",
+        [
+            (MemoryError("Unable to allocate 7.28 TiB"), "Unable to allocate 7.28 TiB"),
+            (MemoryError(), "out of memory"),
+        ],
+    )
+    def test_out_of_memory_is_usage_error(self, exc, message, capsys, monkeypatch):
+        # Exit 1 means a failed validation; a run too large for memory is
+        # a configuration error.  The simulator is stubbed: nothing allocates.
+        def too_large(*args):
+            raise exc
+
+        monkeypatch.setattr(cli, "simulate_end_to_end", too_large)
+        args = ["throughput", "--mc", "--trials", "1000000000000", "--hops", "1"]
+        assert run_cli(args, capsys) == (2, "", f"error: {message}\n")
 
     def test_too_few_batches_for_one_period(self, capsys, recwarn):
         code, _, err = run_cli(

@@ -27,6 +27,7 @@ from bncagg import (
     simulate_line_network,
     simulate_period,
 )
+from bncagg.params import ordered_sum
 from bncagg.probability import bin_d_pmf, binom_pmf
 from bncagg.gf256 import GF_INV, GF_MUL_TABLE, gf256_rank_many
 from bncagg.cli import main
@@ -36,6 +37,7 @@ from bncagg.oracle import (
     GF256_MATRIX,
     RANK_COUNTING,
     HopEstimate,
+    _batch_gains,
     _bernoulli,
     _Coefficients,
     _draw_ranks,
@@ -556,6 +558,43 @@ class TestEnumeratePeriod:
                 assert not got.flags.writeable
                 with pytest.raises(ValueError):
                     got[0] = 1.0
+
+    @pytest.mark.parametrize("field_size", [None, 2, 256])
+    def test_gains_match_the_uncached_sums(self, field_size):
+        # The per-call sums that the cache replaced, under validate's two laws.
+        if field_size is None:
+            rank = min
+        else:
+            def rank(j, r):
+                return ordered_sum(k * p for k, p in enumerate(uniform_rank_pmf(j, r, field_size)))
+        for m in range(1, 13):
+            for law in (RankDistribution.degenerate(m), RankDistribution.truncated_binomial(m, 0.8)):
+                hbar = law.masses
+                want = [
+                    ordered_sum(hbar[r - 1] * rank(j, r) for r in range(1, m + 1))
+                    for j in range(m + 1)
+                ]
+                got = _batch_gains(hbar, field_size)
+                assert isinstance(got, tuple)
+                assert [e.hex() for e in got] == [e.hex() for e in want], (m, field_size)
+                assert _batch_gains(hbar, field_size) is got
+
+    def test_bad_field_size_is_never_cached(self):
+        ctx = make_ctx(3, f=0.5, d=0.9, hbar=RankDistribution.truncated_binomial(3, 0.8))
+        good = enumerate_period_exact(ctx, 2, field_size=2)
+        size = _batch_gains.cache_info().currsize
+        # 2.0 and True hash as the int keys 2 and 1; 6 is no prime power.
+        for q in (6, 2.0, True, 6):
+            with pytest.raises(ParameterError, match="field size must be a"):
+                enumerate_period_exact(ctx, 2, field_size=q)
+        assert _batch_gains.cache_info().currsize == size
+        assert enumerate_period_exact(ctx, 2, field_size=np.int64(2)) == good
+
+    def test_masses_given_as_a_list(self):
+        # RankDistribution keeps the sequence it is given; a list is no cache key.
+        listed = make_ctx(3, f=0.6, d=0.85, hbar=RankDistribution([0.25, 0.25, 0.5]))
+        tupled = make_ctx(3, f=0.6, d=0.85, hbar=RankDistribution((0.25, 0.25, 0.5)))
+        assert enumerate_period_exact(listed, 2) == enumerate_period_exact(tupled, 2)
 
     def test_caches_rebuild_the_same_values(self):
         ctx = make_ctx(5, f=0.6, d=0.85, hbar=RankDistribution.truncated_binomial(5, 0.8))

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bncagg import ParameterError, RankDistribution
+from bncagg import ParameterError, RankDistribution, params
 from bncagg.params import ordered_sum
 from bncagg.probability import binom_pmf
 
@@ -114,6 +114,24 @@ class TestSameMasses:
         assert hist.dtype == np.int64
         got = RankDistribution.from_masses(hist).masses
         assert got == parent_normalize(hist.tolist())
+
+
+def test_from_masses_sums_once(monkeypatch):
+    # A line network normalizes every hop's masses: the constructor's check
+    # would total them a second time.  The result is what the check accepts.
+    calls = []
+
+    def counting_sum(values):
+        calls.append(1)
+        return ordered_sum(values)
+
+    monkeypatch.setattr(params, "ordered_sum", counting_sum)
+    got = RankDistribution.from_masses([3, 0, 1, 4])
+    assert len(calls) == 1
+    monkeypatch.undo()
+    assert got == RankDistribution(got.masses)
+    assert hash(got) == hash(RankDistribution(got.masses))
+    assert got.masses == (0.375, 0.0, 0.125, 0.5)
 
 
 class TestOverflowingTotal:
