@@ -57,11 +57,8 @@ does.  ``enumerate_period_exact`` shares no lineage code with the model
 either: it splits each batch by walking its packet positions frame by
 frame, where the model states the split in closed form by the offset law,
 and it convolves brute-force group pmfs into each batch's.  ``validate`` asks
-for the same ones again and again, so four bounded caches hold them
-read-only: the walk per (M, N) (``_packet_walk``), the pmfs per group and
-per batch (sizes, f, d) (``_group_pmf_brute``, ``_lineage_pmf_brute``), and
-a batch's mean increment per received count, per (rank masses, field size)
-(``_batch_gains``).
+for the same cells again and again, so one bounded memo, ``_period_exact``,
+holds each cell's E, a float, per (M, N, f, d, rank masses, field size).
 """
 
 from __future__ import annotations
@@ -88,15 +85,6 @@ _CHUNK = 1 << 16
 _BLOCK = 1 << 18  # words drawn or coefficients ranked at once; 2 MiB of uint64
 _WORD_LIMIT = 1 << 64
 _MAX_ENUM_TERMS = 1 << 24
-# Bound on each cache of brute-force pmfs, per group and per batch; a pmf is
-# at most 24 floats (the enumeration bound caps M at 23).
-_PMF_CACHE_SIZE = 256
-# Bound on the cached walks, one per (M, N): a tuple of group sizes for each
-# of the lcm(M, N) / M batches, at most 2^(23 - M) within the enumeration bound.
-_WALK_CACHE_SIZE = 32
-# Bound on the cached batch gains, one tuple of M + 1 floats per (rank
-# masses, field size); validate asks for 10.
-_GAINS_CACHE_SIZE = 64
 
 
 def _check_mode(mode: str) -> None:
@@ -369,7 +357,7 @@ def enumerate_period_exact(
     increment is enumerated over all survival patterns of its own packets and
     the header events of the frames it touches.  The groups come from a walk
     over the batch's packet positions and its pmf from brute-force group pmfs
-    (:func:`_packet_walk`, :func:`_lineage_pmf_brute`), both model-free.
+    (:func:`_period_exact`, :func:`_group_pmf_brute`), both model-free.
 
     With ``field_size=None`` a batch of rank r that receives j packets gains
     min(j, r), the large-field model.  With a prime power q it gains the
@@ -379,63 +367,44 @@ def enumerate_period_exact(
     checks the field size.
     """
     n = positive_int(n)
-    m = ctx.code.batch_size
-    lineages = _packet_walk(m, n)
-    if ctx.d <= 0.0:
-        raise ParameterError("header survival is zero; E is undefined")
     if field_size is not None:
-        # 2.0 and True hash as 2 and 1: made ints first, they cannot hit a cached key.
         field_size = positive_int(field_size, "field size")
-    gains = _batch_gains(tuple(ctx.rank_dist.masses), field_size)  # list masses cannot key it
-    total = 0.0
-    for groups in lineages:
-        pmf = _lineage_pmf_brute(groups, ctx.f, ctx.d).tolist()
-        total += ordered_sum(p * e for p, e in zip(pmf, gains))
-    return total / (math.lcm(m, n) // n * ctx.d)
+    return _period_exact(ctx.code.batch_size, n, ctx.f, ctx.d, ctx.rank_dist.masses, field_size)
 
 
-@functools.lru_cache(maxsize=_GAINS_CACHE_SIZE)
-def _batch_gains(masses: tuple[float, ...], field_size: int | None) -> tuple[float, ...]:
-    """Entry j: a batch's mean increment from j received packets, j = 0..M.
-
-    Sums masses[r - 1] * rank(j, r) over r = 1..M, where rank is min(j, r) in
-    the large field and the mean rank of a uniform j x r matrix over GF(q)
-    otherwise; ``uniform_rank_pmf`` checks q, and a bad q is never cached.
-    """
-    if field_size is None:
-        rank = min
-    else:
-        def rank(j: int, r: int) -> float:
-            return ordered_sum(k * p for k, p in enumerate(uniform_rank_pmf(j, r, field_size)))
-    m = len(masses)
-    return tuple(
-        ordered_sum(masses[r - 1] * rank(j, r) for r in range(1, m + 1)) for j in range(m + 1)
-    )
-
-
-@functools.lru_cache(maxsize=_WALK_CACHE_SIZE)
-def _packet_walk(m: int, n: int) -> tuple[tuple[int, ...], ...]:
-    """Each batch's packets per frame p // N, from its positions p; raises if too big."""
-    lineages = tuple(
-        tuple(len(list(g)) for _, g in itertools.groupby(range(b, b + m), lambda p: p // n))
+# validate asks for 100 cells, 90 of them distinct; an exception is never cached.
+@functools.lru_cache(maxsize=256)
+def _period_exact(
+    m: int, n: int, f: float, d: float, masses: tuple[float, ...], field_size: int | None
+) -> float:
+    """E of one cell: each batch's packets per frame p // N come from its positions p."""
+    lineages = [
+        [len(list(g)) for _, g in itertools.groupby(range(b, b + m), lambda p: p // n)]
         for b in range(0, math.lcm(m, n), m)
-    )
+    ]
     cost = sum(2 ** (m + len(groups)) for groups in lineages)
     if cost > _MAX_ENUM_TERMS:
         raise EnumerationSizeError(
             f"enumeration needs {cost} terms, above the {_MAX_ENUM_TERMS} bound"
         )
-    return lineages
-
-
-@functools.lru_cache(maxsize=_PMF_CACHE_SIZE)
-def _lineage_pmf_brute(groups: tuple[int, ...], f: float, d: float) -> np.ndarray:
-    """Received-count pmf of a batch with ``groups`` packets per frame, read-only."""
-    pmf = np.ones(1)
-    for size in groups:
-        pmf = np.convolve(pmf, _group_pmf_brute(size, f, d))
-    pmf.flags.writeable = False
-    return pmf
+    if d <= 0.0:
+        raise ParameterError("header survival is zero; E is undefined")
+    # Entry j of gains: a batch's mean increment from j received packets.
+    if field_size is None:
+        rank = min
+    else:
+        def rank(j: int, r: int) -> float:
+            return ordered_sum(k * p for k, p in enumerate(uniform_rank_pmf(j, r, field_size)))
+    gains = [
+        ordered_sum(masses[r - 1] * rank(j, r) for r in range(1, m + 1)) for j in range(m + 1)
+    ]
+    total = 0.0
+    for groups in lineages:
+        pmf = np.ones(1)
+        for size in groups:
+            pmf = np.convolve(pmf, _group_pmf_brute(size, f, d))
+        total += ordered_sum(p * e for p, e in zip(pmf.tolist(), gains))
+    return total / (math.lcm(m, n) // n * d)
 
 
 def uniform_rank_pmf(j: int, r: int, q: int) -> list[float]:
@@ -469,19 +438,14 @@ def _is_prime_power(q: int) -> bool:
     return q == 1
 
 
-@functools.lru_cache(maxsize=_PMF_CACHE_SIZE)
 def _group_pmf_brute(size: int, f: float, d: float) -> np.ndarray:
-    """Received-count pmf for one group, by enumerating each packet's bit.
-
-    Cached per (size, f, d), so the array is read-only.
-    """
+    """Received-count pmf for one group, by enumerating each packet's bit."""
     survive = np.zeros(size + 1)
     for mask in range(1 << size):
         bits = mask.bit_count()
         survive[bits] += f**bits * (1.0 - f) ** (size - bits)
     pmf = d * survive
     pmf[0] += 1.0 - d
-    pmf.flags.writeable = False
     return pmf
 
 

@@ -155,7 +155,10 @@ class RankDistribution:
     masses: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        masses = self.masses
+        # A list or an array is kept as a tuple, so equal masses give equal,
+        # hashable distributions.
+        masses = tuple(self.masses)
+        object.__setattr__(self, "masses", masses)
         if len(masses) < 1:
             raise ParameterError("rank distribution needs at least one rank")
         # A NaN or infinite mass makes the sum non-finite; only then are the

@@ -2,7 +2,6 @@ import contextlib
 import dataclasses
 import hashlib
 import io
-import itertools
 import json
 import math
 import re
@@ -27,7 +26,6 @@ from bncagg import (
     simulate_line_network,
     simulate_period,
 )
-from bncagg.params import ordered_sum
 from bncagg.probability import bin_d_pmf, binom_pmf
 from bncagg.gf256 import GF_INV, GF_MUL_TABLE, gf256_rank_many
 from bncagg.cli import main
@@ -37,13 +35,10 @@ from bncagg.oracle import (
     GF256_MATRIX,
     RANK_COUNTING,
     HopEstimate,
-    _batch_gains,
     _bernoulli,
     _Coefficients,
     _draw_ranks,
-    _group_pmf_brute,
-    _lineage_pmf_brute,
-    _packet_walk,
+    _period_exact,
     _word_bound,
     simulate_periods,
     uniform_rank_pmf,
@@ -539,87 +534,50 @@ class TestEnumeratePeriod:
             field_size = None if field == "large" else int(field)
             assert enumerate_period_exact(ctx, n, field_size).hex() == want, key
 
-    @pytest.mark.parametrize("f, d", [(0.6, 0.85), (1.0, 1.0)])
-    def test_caches_match_uncached_walk_and_pmfs(self, f, d):
-        for m, n in itertools.product(range(1, 13), repeat=2):
-            walk = [
-                [len(list(g)) for _, g in itertools.groupby(range(b, b + m), lambda p: p // n)]
-                for b in range(0, math.lcm(m, n), m)
-            ]
-            cached = _packet_walk(m, n)
-            assert isinstance(cached, tuple) and all(isinstance(g, tuple) for g in cached)
-            assert [list(groups) for groups in cached] == walk
-            for groups in cached:
-                pmf = np.ones(1)
-                for size in groups:
-                    pmf = np.convolve(pmf, _group_pmf_brute(size, f, d))
-                got = _lineage_pmf_brute(groups, f, d)
-                assert np.array_equal(got, pmf), (m, n, groups)
-                assert not got.flags.writeable
-                with pytest.raises(ValueError):
-                    got[0] = 1.0
+    def test_validate_fills_the_memo_once(self, capsys):
+        # validate's 100 cells are 90 distinct ones: at M = 1 its two rank
+        # laws are the same law.  A second run in the process reads them all.
+        _period_exact.cache_clear()
+        assert main(["validate", "--trials", "2000"]) == 0
+        assert _period_exact.cache_info().misses == 90
+        assert main(["validate", "--trials", "2000"]) == 0
+        info = _period_exact.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (90, 110, 90)
+        capsys.readouterr()
 
-    @pytest.mark.parametrize("field_size", [None, 2, 256])
-    def test_gains_match_the_uncached_sums(self, field_size):
-        # The per-call sums that the cache replaced, under validate's two laws.
-        if field_size is None:
-            rank = min
-        else:
-            def rank(j, r):
-                return ordered_sum(k * p for k, p in enumerate(uniform_rank_pmf(j, r, field_size)))
-        for m in range(1, 13):
-            for law in (RankDistribution.degenerate(m), RankDistribution.truncated_binomial(m, 0.8)):
-                hbar = law.masses
-                want = [
-                    ordered_sum(hbar[r - 1] * rank(j, r) for r in range(1, m + 1))
-                    for j in range(m + 1)
-                ]
-                got = _batch_gains(hbar, field_size)
-                assert isinstance(got, tuple)
-                assert [e.hex() for e in got] == [e.hex() for e in want], (m, field_size)
-                assert _batch_gains(hbar, field_size) is got
+    @pytest.mark.parametrize(
+        "m, n, d, field_size, error, message",
+        [
+            # M = 18, N = 5 is too big to enumerate, and its d = 0 as well.
+            (18, 5, 0.0, 6, EnumerationSizeError, "enumeration needs 29360128 terms"),
+            (18, 5, 0.0, 2.0, ParameterError, "field size must be a positive integer, got 2.0"),
+            (18, 5, 0.0, True, EnumerationSizeError, "enumeration needs 29360128 terms"),
+            (3, 2, 0.0, None, ParameterError, "header survival is zero"),
+            (3, 2, 0.9, 6, ParameterError, "field size must be a prime power, got 6"),
+        ],
+        ids=["too-big", "float-field", "bool-field", "zero-d", "not-prime-power"],
+    )
+    def test_errors_are_never_memoized(self, m, n, d, field_size, error, message):
+        ctx = make_ctx(m, f=0.5, d=d)
+        _period_exact.cache_clear()
+        for _ in range(2):
+            with pytest.raises(error, match=re.escape(message)):
+                enumerate_period_exact(ctx, n, field_size=field_size)
+        assert _period_exact.cache_info().currsize == 0
 
-    def test_bad_field_size_is_never_cached(self):
+    def test_numpy_field_size_reads_the_int_entry(self):
         ctx = make_ctx(3, f=0.5, d=0.9, hbar=RankDistribution.truncated_binomial(3, 0.8))
         good = enumerate_period_exact(ctx, 2, field_size=2)
-        size = _batch_gains.cache_info().currsize
-        # 2.0 and True hash as the int keys 2 and 1; 6 is no prime power.
-        for q in (6, 2.0, True, 6):
-            with pytest.raises(ParameterError, match="field size must be a"):
-                enumerate_period_exact(ctx, 2, field_size=q)
-        assert _batch_gains.cache_info().currsize == size
-        assert enumerate_period_exact(ctx, 2, field_size=np.int64(2)) == good
+        size = _period_exact.cache_info().currsize
+        got = enumerate_period_exact(ctx, 2, field_size=np.int64(2))
+        assert type(got) is float and got == good
+        assert _period_exact.cache_info().currsize == size
 
     def test_masses_given_as_a_list(self):
         # RankDistribution keeps the sequence it is given; a list is no cache key.
         listed = make_ctx(3, f=0.6, d=0.85, hbar=RankDistribution([0.25, 0.25, 0.5]))
         tupled = make_ctx(3, f=0.6, d=0.85, hbar=RankDistribution((0.25, 0.25, 0.5)))
         assert enumerate_period_exact(listed, 2) == enumerate_period_exact(tupled, 2)
-
-    def test_caches_rebuild_the_same_values(self):
-        ctx = make_ctx(5, f=0.6, d=0.85, hbar=RankDistribution.truncated_binomial(5, 0.8))
-        warm_walk = _packet_walk(5, 3)
-        warm_pmf = _lineage_pmf_brute((1, 3, 1), 0.6, 0.85)
-        warm = enumerate_period_exact(ctx, 3)
-        for cached in (_packet_walk, _lineage_pmf_brute, _group_pmf_brute):
-            cached.cache_clear()
-        assert enumerate_period_exact(ctx, 3) == warm
-        assert _packet_walk(5, 3) == warm_walk
-        assert np.array_equal(_lineage_pmf_brute((1, 3, 1), 0.6, 0.85), warm_pmf)
-
-    def test_walk_too_large_is_not_cached(self):
-        _packet_walk.cache_clear()
-        for _ in range(2):
-            with pytest.raises(EnumerationSizeError):
-                _packet_walk(18, 5)
-        assert _packet_walk.cache_info().currsize == 0
-
-    def test_group_pmf_is_cached_read_only(self):
-        pmf = _group_pmf_brute(3, 0.6, 0.85)
-        assert _group_pmf_brute(3, 0.6, 0.85) is pmf
-        assert not pmf.flags.writeable
-        with pytest.raises(ValueError):
-            pmf[0] = 1.0
 
     def test_splits_batches_with_its_own_walk(self):
         # The model states each batch's split by the offset law; the oracle

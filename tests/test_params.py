@@ -115,6 +115,15 @@ class TestSameMasses:
         got = RankDistribution.from_masses(hist).masses
         assert got == parent_normalize(hist.tolist())
 
+    @pytest.mark.parametrize("given", [list, np.array])
+    def test_sequence_kept_as_a_tuple(self, given):
+        # Equal masses give equal distributions, whatever sequence held them.
+        masses = (0.25, 0.25, 0.5)
+        got = RankDistribution(given(masses))
+        assert type(got.masses) is tuple
+        assert got == RankDistribution(masses)
+        assert hash(got) == hash(RankDistribution(masses))
+
 
 def test_from_masses_sums_once(monkeypatch):
     # A line network normalizes every hop's masses: the constructor's check

@@ -62,13 +62,14 @@ def test_bad_runs_spec(spec):
         record_bench.parse_runs(spec)
 
 
-def test_writes_the_record_schema(tmp_path, monkeypatch, capsys):
-    # Both trees are stubbed: no git archive and no benchmark run.
+@pytest.fixture
+def calls(tmp_path, monkeypatch):
+    """Stub both trees, with no git archive and no benchmark run; list the runs."""
+    calls = []
+
     def unpack(rev, into):
         (into / "BENCHMARK.json").write_text((ROOT / "BENCHMARK.json").read_text())
         return f"{rev}-commit"
-
-    calls = []
 
     def run(tree, workload, seed, seconds):
         calls.append((tree.name, workload, seed, seconds))
@@ -80,6 +81,10 @@ def test_writes_the_record_schema(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(record_bench, "ROOT", tmp_path)
     monkeypatch.setattr(record_bench, "_unpack", unpack)
     monkeypatch.setattr(record_bench, "_run", run)
+    return calls
+
+
+def test_writes_the_record_schema(tmp_path, calls):
     argv = [
         "--label", "x", "--base", "abc", "--title", "T", "--seconds", "1",
         "--claim", "paper-cli@7:ref_pass_s.median:-0.4",
@@ -96,3 +101,16 @@ def test_writes_the_record_schema(tmp_path, monkeypatch, capsys):
     first, second = record["workloads"]["paper-cli@7"]["pairs"]
     assert (first["first"], second["first"], first["failed"]) == ("base", "head", [0, 0])
     assert record["workloads"]["monte-carlo@7"]["failed_total"] == 0
+
+
+def test_records_without_a_claim(tmp_path, calls, capsys):
+    argv = [
+        "--label", "x", "--base", "abc", "--title", "T", "--seconds", "1",
+        "--runs", "paper-cli@7:1", "--runs", "monte-carlo@7:1",
+    ]
+    assert record_bench.main(argv) == 0
+    record = json.loads((tmp_path / "BENCH_x.json").read_text())
+    assert record["claim"] is None
+    assert list(record["workloads"]) == ["paper-cli@7", "monte-carlo@7"]
+    assert record["workloads"]["paper-cli@7"]["summary"]["ref_pass_s.median"]["change"] == -0.5
+    assert capsys.readouterr().err == "paper-cli@7 pair 1/1\nmonte-carlo@7 pair 1/1\n"

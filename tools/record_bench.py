@@ -22,11 +22,12 @@ keys are ``title``, ``claim``, ``what``, ``base``, ``head``, ``host`` and
 ``workloads``.  Each workload entry holds every pair and, per metric, the
 base and head medians, the relative change of the medians, the base's
 interquartile range and the number of pairs the head won (ties count for
-neither side).  The claim repeats that summary for one workload and metric
-and says whether it is met: the head wins at least nine tenths of the
-pairs, the medians differ by more than the base's interquartile range, and
-the change reaches the target (a negative target for a lower-is-better
-metric).
+neither side).  The optional ``--claim`` repeats that summary for one
+workload and metric and says whether it is met: the head wins at least
+nine tenths of the pairs, the medians differ by more than the base's
+interquartile range, and the change reaches the target (a negative target
+for a lower-is-better metric).  Without it the record's ``claim`` is null,
+as for a change that claims no gain.
 
 Exit status: 0 when the record is written, 2 when a run cannot start or a
 revision cannot be unpacked.
@@ -154,7 +155,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--base", required=True, metavar="REV", help="the parent commit")
     parser.add_argument("--title", required=True)
     parser.add_argument(
-        "--claim", required=True, type=parse_claim, metavar="WORKLOAD@SEED:METRIC:TARGET"
+        "--claim", type=parse_claim, metavar="WORKLOAD@SEED:METRIC:TARGET",
+        help="optional; without it the record claims nothing",
     )
     parser.add_argument(
         "--runs", required=True, action="append", type=parse_runs, metavar="WORKLOAD@SEED:PAIRS",
@@ -162,8 +164,8 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument("--seconds", type=float, help="per run (default: BENCHMARK.json run_seconds)")
     args = parser.parse_args(argv)
-    claim_key, claim_metric, target = args.claim
-    if claim_key not in {f"{w}@{s}" for w, s, _ in args.runs}:
+    claim_key, claim_metric, target = args.claim or (None, None, None)
+    if claim_key is not None and claim_key not in {f"{w}@{s}" for w, s, _ in args.runs}:
         parser.error(f"the claim's {claim_key} is not among --runs")
 
     out = ROOT / f"BENCH_{args.label}.json"
@@ -179,7 +181,7 @@ def main(argv: list[str] | None = None) -> int:
         benchmark = json.loads((trees["head"] / "BENCHMARK.json").read_text())
         metrics = benchmark["end_to_end"]
         claim_spec = next((m for m in metrics if m["name"] == claim_metric), None)
-        if claim_spec is None:
+        if claim_metric is not None and claim_spec is None:
             parser.error(f"{claim_metric} is not an end-to-end metric of BENCHMARK.json")
         seconds = args.seconds if args.seconds is not None else benchmark["run_seconds"]
         record = {
@@ -230,8 +232,11 @@ def main(argv: list[str] | None = None) -> int:
                         "met": judge_claim(summary, claim_spec["better"], target),
                     }
                 out.write_text(json.dumps(record, indent=1) + "\n")
-                change = entry["summary"][claim_metric]["change"]
-                print(f"{key} pair {i + 1}/{count}: {claim_metric} change {change:+.2%}", file=sys.stderr)
+                progress = f"{key} pair {i + 1}/{count}"
+                if claim_metric is not None:
+                    change = entry["summary"][claim_metric]["change"]
+                    progress += f": {claim_metric} change {change:+.2%}"
+                print(progress, file=sys.stderr)
     print(f"wrote {out.name}")
     return 0
 
