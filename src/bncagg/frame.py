@@ -11,19 +11,19 @@ own header arrives, follows from pi_N in one dot product, and frame
 efficiency is d * K * E / S(N).
 
 pi_N depends on (M, N, f, d) but not on the rank distribution, so the
-model keeps one read-only plan per (M, rows, f, d, S(1), packet size), with
-rows = max(N asked, n_max).  A plan holds the reception table (row N - 1 is
-pi_N, built past n_max when a larger N is asked for), the factors N / M, the
-frame sizes S(N), the min(j, r) matrix behind e, and the hop transitions
-that a line network asks for, each built once (``_transition``).  E for
-every N is one product of the plan's table with e, and a scan is one argmax.
-A scan has two halves: ``_resolve`` takes from a context all that does not
-depend on its ranks (n_max, the plan, d and d * K), and ``_scan`` turns a
-rank distribution into the efficiency profile; ``optimize_n`` runs both.  A
-line network resolves its context once and scans each hop's ranks, so a
-hop builds no context and looks up no plan, and pays only for its
-arithmetic.  The plan cache is the model's only state, and only this module
-keys it.
+model keeps one read-only plan per (M, rows, f, d, S(1), packet size, K),
+with rows = max(N asked, n_max).  A plan holds the reception table (row
+N - 1 is pi_N, built past n_max when a larger N is asked for), the factors
+N / M, the frame sizes S(N), the min(j, r) matrix behind e, d and d * K, and
+the hop transitions that a line network asks for, each built once
+(``_transition``).  E for every N is one product of the plan's table with e,
+and a scan is one argmax.  A scan has two halves: ``_resolve`` returns the
+context's plan with rows N = 1..n_max, all that does not depend on its
+ranks, and ``_scan`` turns a rank distribution into the efficiency profile
+against it; ``optimize_n`` runs both.  A line network resolves its context
+once and scans each hop's ranks, so a hop builds no context and looks up no
+plan, and pays only for its arithmetic.  The plan cache is the model's only
+state, and only this module keys it.
 The paper's phase-average terms (beta, gamma, omega) compute the same E
 frame by frame; they live in ``tests/reference.py`` and the tests hold this
 module to them.
@@ -160,7 +160,7 @@ def expected_rank_increment(n: int, ctx: AggregationContext) -> float:
     """
     if ctx.d <= 0.0:
         raise ParameterError("header survival is zero; E is undefined")
-    return float(_increments(_plan(ctx, n), ctx.rank_dist, ctx.d)[n - 1])
+    return float(_increments(_plan(ctx, n), ctx.rank_dist)[n - 1])
 
 
 def lineage_reception_pmf(n: int, ctx: AggregationContext) -> np.ndarray:
@@ -194,17 +194,17 @@ def _capacity(channel: ChannelParams, code: CodeParams) -> int:
     return (channel.max_payload - channel.proto_header) // code.packet_size
 
 
-def _increments(plan: _ScanPlan, ranks: RankDistribution, d: float) -> np.ndarray:
+def _increments(plan: _ScanPlan, ranks: RankDistribution) -> np.ndarray:
     """E for every row of the plan: one product of its table with e.
 
     e[j] = E_r[min(j, r)] under the rank distribution ``ranks``, j = 0..M.
     """
     e = plan.mins @ np.asarray(ranks.masses)
-    return plan.scale * (plan.table @ e) / d
+    return plan.scale * (plan.table @ e) / plan.d
 
 
 class _ScanPlan(NamedTuple):
-    """The model state of one (M, rows, f, d, S(1), packet size).
+    """The model state of one (M, rows, f, d, S(1), packet size, K).
 
     The arrays are read-only; ``transitions`` maps N to its hop transition
     and is filled only by :func:`_transition`.
@@ -215,18 +215,23 @@ class _ScanPlan(NamedTuple):
     sizes: np.ndarray  # frame size S(N) in bytes for each row
     mins: np.ndarray  # mins[j, r - 1] = min(j, r), floats so e casts nothing
     transitions: dict[int, np.ndarray]
+    d: float
+    dk: float  # d * K
 
 
 def _plan(ctx: AggregationContext, n: int) -> _ScanPlan:
     """The context's plan, with rows for N = 1..max(n, n_max)."""
-    rows = max(positive_int(n), _capacity(ctx.channel, ctx.code))
-    s1 = frame_size(1, ctx.channel, ctx.code)
-    return _scan_plan(ctx.code.batch_size, rows, ctx.f, ctx.d, s1, ctx.code.packet_size)
+    code = ctx.code
+    rows = max(positive_int(n), _capacity(ctx.channel, code))
+    s1 = frame_size(1, ctx.channel, code)
+    return _scan_plan(
+        code.batch_size, rows, ctx.f, ctx.d, s1, code.packet_size, code.payload
+    )
 
 
 @functools.lru_cache(maxsize=_PMF_CACHE_SIZE)
 def _scan_plan(
-    m: int, rows: int, f: float, d: float, s1: int, step: int
+    m: int, rows: int, f: float, d: float, s1: int, step: int, k: int
 ) -> _ScanPlan:
     groups = {
         size: np.array([bin_d_pmf(i, size, f, d) for i in range(size + 1)])
@@ -248,7 +253,7 @@ def _scan_plan(
     mins = np.minimum.outer(np.arange(m + 1.0), np.arange(1.0, m + 1))
     for array in (table, scale, sizes, mins):
         array.flags.writeable = False
-    return _ScanPlan(table, scale, sizes, mins, {})
+    return _ScanPlan(table, scale, sizes, mins, {}, d, d * k)
 
 
 def _transition(n: int, plan: _ScanPlan) -> np.ndarray:
@@ -269,30 +274,21 @@ def _transition(n: int, plan: _ScanPlan) -> np.ndarray:
     return t
 
 
-class _Resolved(NamedTuple):
-    """What a scan needs from a context besides its ranks (``_resolve``)."""
-
-    n_max: int
-    plan: _ScanPlan  # rows N = 1..n_max
-    d: float
-    dk: float  # d * K
-
-
-def _resolve(ctx: AggregationContext) -> _Resolved:
-    """The part of a scan that does not depend on the context's ranks.
+def _resolve(ctx: AggregationContext) -> _ScanPlan:
+    """The context's plan with rows N = 1..n_max: all a scan needs but ranks.
 
     A line network resolves its context once and scans each hop's ranks
-    against the result, so a hop looks up no plan and builds no context.
+    against the plan, so a hop looks up no plan and builds no context.
     """
-    n_max = max_feasible_n(ctx.channel, ctx.code)
-    return _Resolved(n_max, _plan(ctx, n_max), ctx.d, ctx.d * ctx.code.payload)
+    return _plan(ctx, max_feasible_n(ctx.channel, ctx.code))
 
 
-def _scan(model: _Resolved, ranks: RankDistribution) -> EfficiencyProfile:
-    """Efficiency d * K * E(N) / S(N) for every feasible N under ``ranks``."""
-    if model.d <= 0.0:
-        values = np.zeros(model.n_max)  # no header arrives, so no payload byte is useful
+def _scan(plan: _ScanPlan, ranks: RankDistribution) -> EfficiencyProfile:
+    """Efficiency d * K * E(N) / S(N) under ``ranks``; ``plan`` is resolved."""
+    n_max = plan.sizes.size
+    if plan.d <= 0.0:
+        values = np.zeros(n_max)  # no header arrives, so no payload byte is useful
     else:
-        values = model.dk * _increments(model.plan, ranks, model.d) / model.plan.sizes
+        values = plan.dk * _increments(plan, ranks) / plan.sizes
     best = int(values.argmax()) + 1
-    return EfficiencyProfile(model.n_max, tuple(values.tolist()), best)
+    return EfficiencyProfile(n_max, tuple(values.tolist()), best)

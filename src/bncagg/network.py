@@ -10,9 +10,9 @@ and the per-hop efficiency is scaled by the probability of rank >= 1.
 
 Each hop's N has one owner, ``NodeStrategy.choose``, which this network and
 ``oracle.simulate_end_to_end`` both call.  Both resolve the line's context
-once, before the first hop (``frame._resolve``: n_max, the model's cached
-plan, d and d * K).  At each hop ``choose`` normalizes the incoming rank
-masses, scans them against that (``frame._scan``, the arithmetic of
+once, before the first hop (``frame._resolve``: the model's cached plan,
+with rows N = 1..n_max).  At each hop ``choose`` normalizes the incoming rank
+masses, scans them against that plan (``frame._scan``, the arithmetic of
 ``optimize_n``) and lets the strategy pick N from the profile, so no hop
 builds a context or looks up a plan.  The transition depends on the ranks
 only through N; ``frame._transition`` builds it on first use and keeps it,
@@ -30,7 +30,6 @@ from .frame import (
     AggregationContext,
     EfficiencyProfile,
     _resolve,
-    _Resolved,
     _scan,
     _ScanPlan,
     _transition,
@@ -81,11 +80,11 @@ class NodeStrategy:
         return self.n
 
     def choose(
-        self, hop: int, masses: np.ndarray, model: _Resolved
+        self, hop: int, masses: np.ndarray, plan: _ScanPlan
     ) -> tuple[RankDistribution, EfficiencyProfile, int]:
         """(incoming ranks, scan profile, N) at ``hop``; ``masses`` weigh ranks 1..M.
 
-        ``model`` is the line's context resolved once (``frame._resolve``).
+        ``plan`` is the line's context resolved once (``frame._resolve``).
         """
         try:  # all-zero masses raise here, so a live hop makes no extra pass
             ranks = RankDistribution.from_masses(masses)
@@ -93,7 +92,7 @@ class NodeStrategy:
             if masses.any():  # some other fault, such as a NaN mass
                 raise
             raise ParameterError(f"population extinct before hop {hop}") from None
-        profile = _scan(model, ranks)
+        profile = _scan(plan, ranks)
         return ranks, profile, self.select(profile)
 
     def label(self) -> str:
@@ -140,17 +139,17 @@ def simulate_line_network(
     to M outgoing packets, so the loss model is identical at every hop.
     """
     hops = positive_int(hops, "hops")
-    model = _resolve(ctx)
+    plan = _resolve(ctx)
     m = ctx.code.batch_size
     full = np.zeros(m + 1)
     full[m] = 1.0
     records = []
     for hop in range(1, hops + 1):
-        ranks, profile, n = strategy.choose(hop, full[1:], model)
+        ranks, profile, n = strategy.choose(hop, full[1:], plan)
         delivered = float(full[1:].sum())
         eff = delivered * profile.value(n)
         records.append(HopRecord(hop, n, ranks, delivered, eff))
-        full = _evolve_full(full, n, model.plan)
+        full = _evolve_full(full, n, plan)
     return HopTrace(tuple(records))
 
 

@@ -35,9 +35,10 @@ and each estimate is bit for bit the one ``simulate_period`` gives in its
 own mode.  Any draw added to a chunk must keep that order, or come after
 the coefficients.
 
-Raw words are drawn ``_BLOCK`` at a time, which bounds the draw buffers
-however many trials a chunk holds.  Counts and ranks use the narrowest
-unsigned type that holds M.
+Raw words are drawn ``_BLOCK`` at a time, and coefficients one piece of
+``_gf_increments`` at a time, which bounds the draw buffers however many
+trials a chunk holds.  Counts and ranks use the narrowest unsigned type
+that holds M.
 
 The oracles report E in the same convention as the analytical formulas: the
 per-frame rank increment conditioned on the frame's own header arriving,
@@ -183,9 +184,9 @@ class _Coefficients:
     For a range of 256 that call takes u >> 24 of one 32-bit half-word u, and
     Philox hands out the low half of a word first and keeps the high half for
     its next 32-bit draw.  So the coefficients are bytes 3 and 7 of
-    consecutive raw words, read here ``_BLOCK`` words at a time; a draw of
-    odd size keeps the last word's byte 7 for the next draw, as Philox keeps
-    the half-word.  This holds only if ``rng`` holds no spare half-word when
+    consecutive raw words, read here in one raw draw per call (a call asks
+    for one piece of ``_gf_increments``); a draw of odd size keeps the last
+    word's byte 7 for the next draw, as Philox keeps the half-word.  This holds only if ``rng`` holds no spare half-word when
     the first draw is made: a fresh generator does not, and raw draws never
     set one.
     """
@@ -200,14 +201,12 @@ class _Coefficients:
         if self._spare is not None and size:
             out[0], self._spare = self._spare, None
             rest = out[1:]
-        for start in range(0, rest.size, 2 * _BLOCK):
-            block = rest[start : start + 2 * _BLOCK]
-            words = self._rng.bit_generator.random_raw((block.size + 1) // 2)
-            words = words.astype("<u8", copy=False).view(np.uint8).reshape(-1, 8)
-            even = block.size & ~1
-            block[:even].reshape(-1, 2)[...] = words[: even // 2, 3::4]
-            if block.size > even:
-                block[-1], self._spare = words[-1, 3::4]
+        words = self._rng.bit_generator.random_raw((rest.size + 1) // 2)
+        words = words.astype("<u8", copy=False).view(np.uint8).reshape(-1, 8)
+        even = rest.size & ~1
+        rest[:even].reshape(-1, 2)[...] = words[: even // 2, 3::4]
+        if rest.size > even:
+            rest[-1], self._spare = words[-1, 3::4]
         return out
 
 

@@ -180,9 +180,7 @@ class RankDistribution:
         """Normalize ``masses`` (indexed by rank - 1) and build a distribution.
 
         Finite masses whose sum overflows are first divided by the largest.
-        The result skips ``__post_init__``, which would sum the masses again:
-        they are finite and were just divided by their total, so only their
-        sign is checked, with the same message.
+        The normalized masses go through the constructor, which checks them.
         """
         masses = np.asarray(masses, dtype=np.float64)
         if masses.ndim != 1:
@@ -198,12 +196,7 @@ class RankDistribution:
             raise ParameterError(
                 f"rank masses must have a positive finite total, got {total!r}"
             )
-        values = tuple([value / total for value in values])
-        if min(values) < 0.0:
-            raise ParameterError("rank masses must be nonnegative")
-        dist = object.__new__(cls)
-        object.__setattr__(dist, "masses", values)
-        return dist
+        return cls(tuple([value / total for value in values]))
 
     @classmethod
     def degenerate(cls, batch_size: int, rank: int | None = None) -> "RankDistribution":

@@ -363,7 +363,7 @@ class TestStreamEquivalence:
     )
     def test_coefficients_match_int64_draw(self, shape):
         # A chunk draws its coefficients after raw words, in pieces whose
-        # sizes may be odd; a draw above 2 * _BLOCK spans several word blocks.
+        # sizes may be odd, and some exceed 2 * _BLOCK coefficients.
         total = math.prod(shape)
         sizes = [1, 2, 5, _BLOCK + 1, 4, 2 * _BLOCK + 3]
         pieces = []
@@ -574,7 +574,7 @@ class TestEnumeratePeriod:
         assert _period_exact.cache_info().currsize == size
 
     def test_masses_given_as_a_list(self):
-        # RankDistribution keeps the sequence it is given; a list is no cache key.
+        # The memo treats masses given as a list and as a tuple alike.
         listed = make_ctx(3, f=0.6, d=0.85, hbar=RankDistribution([0.25, 0.25, 0.5]))
         tupled = make_ctx(3, f=0.6, d=0.85, hbar=RankDistribution((0.25, 0.25, 0.5)))
         assert enumerate_period_exact(listed, 2) == enumerate_period_exact(tupled, 2)

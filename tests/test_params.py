@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bncagg import ParameterError, RankDistribution, params
+from bncagg import ParameterError, RankDistribution
 from bncagg.params import ordered_sum
 from bncagg.probability import binom_pmf
 
@@ -92,7 +92,7 @@ class TestErrorParity:
 
 
 class TestSameMasses:
-    @pytest.mark.parametrize("m", [1, 2, 4, 16, 32, 100])
+    @pytest.mark.parametrize("m", [1, 2, 4, 16, 32, 100, 1024])
     def test_every_path_is_bit_identical(self, m):
         rng = np.random.default_rng(m)
         for draw in range(20):
@@ -125,16 +125,16 @@ class TestSameMasses:
         assert hash(got) == hash(RankDistribution(masses))
 
 
-def test_from_masses_sums_once(monkeypatch):
-    # A line network normalizes every hop's masses: the constructor's check
-    # would total them a second time.  The result is what the check accepts.
+def test_from_masses_builds_through_the_constructor(monkeypatch):
+    # The normalized masses get the constructor's checks, once per call.
     calls = []
+    real = RankDistribution.__post_init__
 
-    def counting_sum(values):
+    def counted(self):
         calls.append(1)
-        return ordered_sum(values)
+        real(self)
 
-    monkeypatch.setattr(params, "ordered_sum", counting_sum)
+    monkeypatch.setattr(RankDistribution, "__post_init__", counted)
     got = RankDistribution.from_masses([3, 0, 1, 4])
     assert len(calls) == 1
     monkeypatch.undo()
