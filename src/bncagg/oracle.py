@@ -186,9 +186,9 @@ class _Coefficients:
     its next 32-bit draw.  So the coefficients are bytes 3 and 7 of
     consecutive raw words, read here in one raw draw per call (a call asks
     for one piece of ``_gf_increments``); a draw of odd size keeps the last
-    word's byte 7 for the next draw, as Philox keeps the half-word.  This holds only if ``rng`` holds no spare half-word when
-    the first draw is made: a fresh generator does not, and raw draws never
-    set one.
+    word's byte 7 for the next draw, as Philox keeps the half-word.  This
+    holds only if ``rng`` holds no spare half-word when the first draw is
+    made: a fresh generator does not, and raw draws never set one.
     """
 
     def __init__(self, rng: np.random.Generator) -> None:
