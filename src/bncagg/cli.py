@@ -10,14 +10,19 @@ Subcommands:
 * ``validate`` -- runs the exhaustive and Monte Carlo oracles against the
   analytical formulas; exit status 1 on any failure.
 
-Exit codes: 0 success, 1 validation failure, 2 configuration error, 141
+Each subcommand takes only the flags its command reads (``_SUBCOMMANDS``),
+so a flag it would ignore, such as ``efficiency-curve --hops``, is an
+argparse usage error.  INI keys are shared: one file may serve every command.
+
+Exit codes: 0 success, 1 validation failure, 2 configuration error (also a
+run too large for memory, such as ``throughput --mc`` with a huge
+``--trials``, which prints the ``MemoryError`` as ``error: ...``), 141
 (128 + SIGPIPE) when the reader of stdout closes it early, as ``| head``
 does; that case prints nothing to stderr.  ``--out FILE`` must name a file
-in an existing directory, checked before the command runs, and is written
-only when the command returns 0 or 1, so a failing run leaves it as it was.
-
-Exit 2 also covers a run too large for memory, such as ``throughput --mc``
-with a huge ``--trials``: it prints the ``MemoryError`` as ``error: ...``.
+in an existing directory, checked before the command runs.  A command
+renders into one buffer, which goes to stdout or ``--out`` only when the
+command returns 0 or 1, so a failing run prints nothing on stdout and
+leaves the file as it was.
 
 Two things are built once per process and reused on every call: the argument
 parser (``_parser``; ``build_parser`` still returns a fresh one) and the
@@ -217,48 +222,47 @@ def cmd_validate(config: ScenarioConfig, out: TextIO) -> int:
     return 1 if failures else 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", metavar="FILE", help="INI config file")
-    common.add_argument("--out", default="-", metavar="FILE", help="output file or - for stdout")
-    common.add_argument(
-        "--plr", action="append", type=float, dest="plrs", metavar="PLR",
-        help="baseline PLR (repeatable)",
-    )
-    common.add_argument("--batch-size", type=int, help="batch size M")
-    common.add_argument("--payload", type=int, help="BNC payload bytes K")
-    common.add_argument("--bnc-header", type=int, help="BNC header bytes H (default M + 2)")
-    common.add_argument(
-        "--integrity", choices=["checksum", "fec", "both"], help="per-packet integrity mode"
-    )
-    common.add_argument("--fec-bytes", type=int, help="integrity bytes in fec mode")
-    common.add_argument("--mtu", type=int, help="max network layer packet bytes L")
-    common.add_argument("--hops", type=int, help="line network length")
-    common.add_argument(
-        "--strategy", action="append", dest="strategies", metavar="STRATEGY",
-        help="optimal, largest or fixed:<n> (repeatable)",
-    )
-    common.add_argument(
-        "--rank-dist",
-        help="degenerate, binomial:<rho> or explicit:<m1,...>; throughput rejects it"
-        " (its batches start at full rank) and ignores an INI rank_dist",
-    )
-    common.add_argument("--seed", type=int, help="Monte Carlo seed")
-    common.add_argument("--trials", type=int, help="Monte Carlo trials / periods")
-    common.add_argument(
-        "--mc", action="store_true", default=None, help="use the Monte Carlo simulator"
-    )
+_FLAGS = {
+    "--config": dict(metavar="FILE", help="INI config file"),
+    "--out": dict(default="-", metavar="FILE", help="output file or - for stdout"),
+    "--plr": dict(action="append", type=float, dest="plrs", metavar="PLR",
+                  help="baseline PLR (repeatable)"),
+    "--batch-size": dict(type=int, help="batch size M"),
+    "--payload": dict(type=int, help="BNC payload bytes K"),
+    "--bnc-header": dict(type=int, help="BNC header bytes H (default M + 2)"),
+    "--integrity": dict(choices=["checksum", "fec", "both"], help="per-packet integrity mode"),
+    "--fec-bytes": dict(type=int, help="integrity bytes in fec mode"),
+    "--mtu": dict(type=int, help="max network layer packet bytes L"),
+    "--rank-dist": dict(help="degenerate, binomial:<rho> or explicit:<m1,...>"),
+    "--hops": dict(type=int, help="line network length"),
+    "--strategy": dict(action="append", dest="strategies", metavar="STRATEGY",
+                       help="optimal, largest or fixed:<n> (repeatable)"),
+    "--mc": dict(action="store_true", default=None, help="use the Monte Carlo simulator"),
+    "--seed": dict(type=int, help="Monte Carlo seed"),
+    "--trials": dict(type=int, help="Monte Carlo trials / periods"),
+}
+_LAYOUT = ("--config", "--out", "--plr", "--batch-size", "--payload", "--bnc-header",
+           "--integrity", "--fec-bytes")
+# throughput starts every batch at full rank, so it takes no --rank-dist;
+# validate sizes its own frames, so it takes no --mtu.
+_SUBCOMMANDS = {
+    "efficiency-curve": ("frame efficiency vs N as CSV", ("--mtu", "--rank-dist")),
+    "throughput": ("per-hop throughput as CSV",
+                   ("--mtu", "--hops", "--strategy", "--mc", "--seed", "--trials")),
+    "validate": ("oracle consistency report", ("--rank-dist", "--seed", "--trials")),
+}
 
+
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bncagg",
         description="Frame efficiency of aggregated BNC packets over UDP-Lite",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser(
-        "efficiency-curve", parents=[common], help="frame efficiency vs N as CSV"
-    )
-    sub.add_parser("throughput", parents=[common], help="per-hop throughput as CSV")
-    sub.add_parser("validate", parents=[common], help="oracle consistency report")
+    for command, (text, flags) in _SUBCOMMANDS.items():
+        command_parser = sub.add_parser(command, help=text)
+        for flag in _LAYOUT + flags:
+            command_parser.add_argument(flag, **_FLAGS[flag])
     return parser
 
 
@@ -272,15 +276,8 @@ def _parser() -> argparse.ArgumentParser:
 def _config_from_args(args: argparse.Namespace) -> ScenarioConfig:
     # Built-in defaults, then the config file, then flags; throughput
     # compares both integrity modes unless told otherwise.  A flag sets the
-    # field its dest names; unset flags are None.
-    updates = {}
-    if args.command == "throughput":
-        if args.rank_dist is not None:
-            raise ParameterError(
-                "throughput does not take --rank-dist: the line network starts"
-                " every batch at full rank"
-            )
-        updates["integrity"] = BOTH
+    # field its dest names; unset flags, and those the command lacks, are None.
+    updates = {"integrity": BOTH} if args.command == "throughput" else {}
     if args.config:
         updates.update(read_config_file(args.config))
     for field in dataclasses.fields(ScenarioConfig):
@@ -301,18 +298,17 @@ def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
         config = _config_from_args(args)
-        if args.out == "-":
-            status = _COMMANDS[args.command](config, sys.stdout)
-            sys.stdout.flush()  # a closed pipe shows here, not at exit
-            return status
-        # A path that cannot be opened is refused before the command runs, and
-        # a failing command raises, so the file is written only for 0 or 1.
-        if os.path.isdir(args.out) or not os.path.isdir(os.path.dirname(args.out) or "."):
-            raise ParameterError(f"--out {args.out!r} is not a file in an existing directory")
-        buf = io.StringIO()
+        out = args.out  # a path that cannot be opened is refused before the command runs
+        if out != "-" and (os.path.isdir(out) or not os.path.isdir(os.path.dirname(out) or ".")):
+            raise ParameterError(f"--out {out!r} is not a file in an existing directory")
+        buf = io.StringIO()  # a failing command raises, so only 0 or 1 is written
         status = _COMMANDS[args.command](config, buf)
-        with open(args.out, "w", newline="") as handle:
-            handle.write(buf.getvalue())
+        if out == "-":
+            sys.stdout.write(buf.getvalue())
+            sys.stdout.flush()  # a closed pipe shows here, not at exit
+        else:
+            with open(out, "w", newline="") as handle:
+                handle.write(buf.getvalue())
         return status
     except BrokenPipeError:
         # The reader is gone.  Python flushes stdout again at exit, so point

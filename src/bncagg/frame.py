@@ -65,12 +65,11 @@ _PMF_CACHE_SIZE = 128
 
 @dataclass(frozen=True)
 class AggregationContext:
-    """Channel, code and rank distribution with the derived p, d, f cached."""
+    """Channel, code and rank distribution with the derived d, f cached."""
 
     channel: ChannelParams
     code: CodeParams
     rank_dist: RankDistribution
-    p: float
     d: float
     f: float
 
@@ -80,7 +79,6 @@ class AggregationContext:
                 "rank distribution has batch size"
                 f" {self.rank_dist.batch_size}, code has {self.code.batch_size}"
             )
-        probability(self.p, "ber", below_one=True)
         probability(self.d, "header survival")
         probability(self.f, "packet survival")
 
@@ -91,7 +89,7 @@ class AggregationContext:
         code: CodeParams,
         rank_dist: RankDistribution | None = None,
     ) -> "AggregationContext":
-        """Derive p, d, f from the channel loss model and the code."""
+        """Derive d, f from the channel loss model and the code via the BER p."""
         if rank_dist is None:
             rank_dist = RankDistribution.degenerate(code.batch_size)
         if channel.ber is not None:
@@ -102,15 +100,12 @@ class AggregationContext:
             channel=channel,
             code=code,
             rank_dist=rank_dist,
-            p=p,
             d=header_survival(p, channel),
             f=bnc_packet_survival(p, code),
         )
 
     def with_rank_dist(self, rank_dist: RankDistribution) -> "AggregationContext":
-        return AggregationContext(
-            self.channel, self.code, rank_dist, self.p, self.d, self.f
-        )
+        return AggregationContext(self.channel, self.code, rank_dist, self.d, self.f)
 
 
 @dataclass(frozen=True)

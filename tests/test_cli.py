@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import hashlib
 import io
@@ -208,6 +209,47 @@ class TestThroughput:
         assert sorted(tmp_path.iterdir()) == []
 
 
+# The flags each subcommand takes: exactly the ones its command reads.
+_LAYOUT_FLAGS = ["--config", "--out", "--plr", "--batch-size", "--payload", "--bnc-header",
+                 "--integrity", "--fec-bytes"]
+OPTIONS = {
+    "efficiency-curve": _LAYOUT_FLAGS + ["--mtu", "--rank-dist"],
+    "throughput": _LAYOUT_FLAGS + ["--mtu", "--hops", "--strategy", "--mc", "--seed", "--trials"],
+    "validate": _LAYOUT_FLAGS + ["--rank-dist", "--seed", "--trials"],
+}
+
+
+class TestSubcommandFlags:
+    def test_each_subcommand_takes_only_the_flags_it_reads(self):
+        parser = cli.build_parser()
+        (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        taken = {
+            command: [s for a in sub.choices[command]._actions for s in a.option_strings]
+            for command in sub.choices
+        }
+        assert taken == {command: ["-h", "--help"] + flags for command, flags in OPTIONS.items()}
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["efficiency-curve", "--hops", "5"],
+            ["efficiency-curve", "--mc"],
+            ["validate", "--mtu", "200"],
+            ["validate", "--strategy", "optimal"],
+            ["throughput", "--rank-dist", "degenerate"],
+        ],
+        ids=["curve-hops", "curve-mc", "validate-mtu", "validate-strategy", "throughput-rank-dist"],
+    )
+    def test_a_flag_the_command_ignores_is_a_usage_error(self, argv, capsys):
+        # Each exited 0 at the parent, which read the flag and then ignored it.
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith(f"error: unrecognized arguments: {' '.join(argv[1:])}\n")
+
+
 class TestParserReuse:
     """``main`` reuses one parser; no call may see what an earlier one parsed."""
 
@@ -389,14 +431,22 @@ class TestValidateAndConfig:
         assert out == ""
         assert err.startswith("error: validate needs --trials >= 100")
 
-    def test_validate_at_an_mtu_with_only_n_1(self, capsys):
+    def test_validate_at_an_mtu_with_only_n_1(self, tmp_path, capsys):
         # L = 400 fits one BNC packet; validate evaluates E at N = 4 anyway.
+        # An INI file may serve every command, so its mtu is accepted.
+        cfg = tmp_path / "scenario.ini"
+        cfg.write_text("[channel]\nmtu = 400\n")
         argv = ["validate", "--trials", "2000", "--seed", "3"]
-        code, out, _ = run_cli(argv + ["--mtu", "400"], capsys)
+        code, out, _ = run_cli(argv + ["--config", str(cfg)], capsys)
         assert code == 0
         _, default, _ = run_cli(argv, capsys)
         assert out == default
         assert "0 failure(s)" in out
+        # validate reads no MTU, so it takes no --mtu flag.
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--mtu", "400"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
 
     def test_config_file_overlay(self, tmp_path, capsys):
         cfg = tmp_path / "scenario.ini"
@@ -456,6 +506,7 @@ class TestConfigBoundary:
             ("code", "payload = 2.5"),
             ("run", "plr = 0.1,ten"),
             ("run", "mc = perhaps"),
+            ("run", "colour = red"),
         ],
     )
     def test_bad_ini_value_is_usage_error(self, tmp_path, capsys, section, entry):
@@ -489,10 +540,12 @@ class TestConfigBoundary:
 
     def test_throughput_rejects_rank_dist(self, tmp_path, capsys):
         args = ["throughput", "--hops", "2", "--plr", "0.2", "--strategy", "fixed:1"]
-        code, out, err = run_cli(args + ["--rank-dist", "binomial:0.3"], capsys)
-        assert code == 2
-        assert err.startswith("error: throughput does not take --rank-dist")
-        assert out == ""
+        with pytest.raises(SystemExit) as exc:
+            main(args + ["--rank-dist", "binomial:0.3"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith("error: unrecognized arguments: --rank-dist binomial:0.3\n")
         # An INI rank_dist stays accepted: the file may serve efficiency-curve.
         cfg = tmp_path / "scenario.ini"
         cfg.write_text("[code]\nrank_dist = binomial:0.3\n")
@@ -524,6 +577,15 @@ class TestConfigBoundary:
         args = ["throughput", "--mc", "--trials", "1000000000000", "--hops", "1"]
         assert run_cli(args, capsys) == (2, "", f"error: {message}\n")
 
+    def test_validate_out_of_memory_prints_nothing(self, capsys, monkeypatch):
+        # At the parent stdout kept the two PASS lines printed before the
+        # Monte Carlo step raised, though exit 2 means there is no report.
+        def too_large(*args):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "simulate_periods", too_large)
+        assert run_cli(["validate", "--trials", "2000"], capsys) == (2, "", "error: out of memory\n")
+
     def test_too_few_batches_for_one_period(self, capsys, recwarn):
         code, _, err = run_cli(
             ["throughput", "--mc", "--trials", "1", "--hops", "2", "--plr", "0.1",
@@ -537,7 +599,7 @@ class TestConfigBoundary:
     @pytest.mark.parametrize(
         "args,message",
         [
-            (["efficiency-curve", "--hops", "0"], "hops must be a positive integer"),
+            (["throughput", "--hops", "0"], "hops must be a positive integer"),
             (["throughput", "--mc", "--seed", "-1", "--hops", "1", "--trials", "10"],
              "seed must be a nonnegative integer"),
             (["throughput", "--mc", "--strategy", "fixed:0", "--hops", "1", "--trials", "10"],
@@ -641,6 +703,8 @@ class TestConfigBoundary:
             {"integrity": "crc"},
             {"integrity": "both", "fec_bytes": 0},
             {"batch_size": 3, "rank_dist": "explicit:0.5,0.5"},
+            {"rank_dist": "binomial:x"},
+            {"batch_size": 2, "rank_dist": "explicit:1,x"},
             # Accepted at the parent, which compared without checking the type:
             {"trials": 1.5},
             {"hops": 2.5},
@@ -694,18 +758,26 @@ def _value(key):
     return st.sampled_from(good + good + bad)
 
 
+def _flag(key):
+    return f"--{key.replace('_', '-')}"
+
+
 @st.composite
 def _cli_input(draw):
     """A random argv, and maybe the text of an INI file it names."""
-    command = ["efficiency-curve", "throughput", "validate"]
-    argv = [draw(st.sampled_from(command * 3 + ["plot"]))]
-    for key in draw(st.lists(st.sampled_from(sorted(_VALUES)), max_size=4)):
+    command = draw(st.sampled_from(sorted(OPTIONS) * 3 + ["plot"]))
+    argv = [command]
+    # Flags come from the command's own set (any set for an unknown command);
+    # the INI keys below stay free, since one file may serve every command.
+    flags = OPTIONS.get(command, [_flag(key) for key in _VALUES])
+    keys = [key for key in sorted(_VALUES) if _flag(key) in flags]
+    for key in draw(st.lists(st.sampled_from(keys), max_size=4)):
         if key == "mc":
             argv.append("--mc")
         else:
-            argv += [f"--{key.replace('_', '-')}", draw(_value(key))]
-    # Bound the Monte Carlo work whatever else is drawn.
-    argv += ["--trials", draw(_value("trials"))]
+            argv += [_flag(key), draw(_value(key))]
+    if "--trials" in flags:  # bound the Monte Carlo work whatever else is drawn
+        argv += ["--trials", draw(_value("trials"))]
     if draw(st.booleans()):
         return argv, None
     lines = []

@@ -26,6 +26,7 @@ from bncagg import (
     simulate_line_network,
     simulate_period,
 )
+from bncagg.frame import _resolve
 from bncagg.probability import bin_d_pmf, binom_pmf
 from bncagg.gf256 import GF_INV, GF_MUL_TABLE, gf256_rank_many
 from bncagg.cli import main
@@ -574,7 +575,8 @@ class TestEnumeratePeriod:
         assert _period_exact.cache_info().currsize == size
 
     def test_masses_given_as_a_list(self):
-        # The memo treats masses given as a list and as a tuple alike.
+        # RankDistribution stores its masses as a tuple, so a list and a tuple
+        # give equal laws and one memo key.
         listed = make_ctx(3, f=0.6, d=0.85, hbar=RankDistribution([0.25, 0.25, 0.5]))
         tupled = make_ctx(3, f=0.6, d=0.85, hbar=RankDistribution((0.25, 0.25, 0.5)))
         assert enumerate_period_exact(listed, 2) == enumerate_period_exact(tupled, 2)
@@ -705,6 +707,21 @@ def _replace(**fields):
         (lambda: uniform_rank_pmf(2.5, 2, 2), "j must be a nonnegative integer"),
         (lambda: uniform_rank_pmf(2, -1, 2), "r must be a nonnegative integer"),
         (lambda: uniform_rank_pmf(2, 2.5, 2), "r must be a nonnegative integer"),
+        # Raise sites that no other test reaches.
+        (lambda: AggregationContext.build(CH, CODE, RankDistribution.degenerate(3)),
+         "rank distribution has batch size 3, code has 4"),
+        (lambda: gf256_rank_many(np.zeros((2, 2), dtype=np.uint8)), "expected a 3-d stack"),
+        (lambda: gf256_rank_many(np.zeros((1, 0, 2), dtype=np.uint8)),
+         "matrices must be nonempty"),
+        (lambda: NodeStrategy.optimal().choose(
+            1, np.array([math.nan, 0.5, 0.5, 0.0]), _resolve(_BOUNDARY_CTX)),
+         "rank masses must have a positive finite total"),
+        (lambda: simulate_periods(
+            TrialConfig(ctx=_replace(d=0.0), n=3, seed=SEED, trials=10), (RANK_COUNTING,)),
+         "header survival is zero"),
+        (lambda: ChannelParams(baseline_plr=0.1, ber=1e-5), "exactly one of baseline_plr or ber"),
+        (lambda: ChannelParams(), "exactly one of baseline_plr or ber"),
+        (lambda: RankDistribution.degenerate(4, rank=5), r"rank must be in 1\.\.4, got 5"),
     ],
     ids=[
         "period-n-zero", "period-n-float", "period-n-str", "period-trials-float",
@@ -717,6 +734,8 @@ def _replace(**fields):
         "field-size-float", "bin-d-f-above-one", "binom-k-float", "binom-n-float",
         "bin-d-k-float", "bin-d-n-float", "degenerate-rank-str", "degenerate-rank-float",
         "rank-pmf-j-negative", "rank-pmf-j-float", "rank-pmf-r-negative", "rank-pmf-r-float",
+        "ctx-batch-mismatch", "gf256-not-3d", "gf256-empty", "choose-nan-mass",
+        "periods-d-zero", "channel-plr-and-ber", "channel-no-loss", "degenerate-rank-above-m",
     ],
 )
 def test_library_counts_are_checked(call, message):
