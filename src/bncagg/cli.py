@@ -12,7 +12,8 @@ Subcommands:
 
 Each subcommand takes only the flags its command reads (``_SUBCOMMANDS``),
 so a flag it would ignore, such as ``efficiency-curve --hops``, is an
-argparse usage error.  INI keys are shared: one file may serve every command.
+argparse usage error, printed under the subcommand's own usage line.  INI
+keys are shared: one file may serve every command.
 
 Exit codes: 0 success, 1 validation failure, 2 configuration error (also a
 run too large for memory, such as ``throughput --mc`` with a huge
@@ -261,6 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for command, (text, flags) in _SUBCOMMANDS.items():
         command_parser = sub.add_parser(command, help=text)
+        command_parser.set_defaults(usage_error=command_parser.error)
         for flag in _LAYOUT + flags:
             command_parser.add_argument(flag, **_FLAGS[flag])
     return parser
@@ -295,7 +297,11 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _parser().parse_args(argv)
+    # A flag the command does not take is left over; the command's own parser
+    # reports it, so the usage line printed is that command's.
+    args, extra = _parser().parse_known_args(argv)
+    if extra:
+        args.usage_error(f"unrecognized arguments: {' '.join(extra)}")
     try:
         config = _config_from_args(args)
         out = args.out  # a path that cannot be opened is refused before the command runs

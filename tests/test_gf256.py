@@ -1,18 +1,19 @@
 """The GF(256) kernel against an independent pure-Python reference."""
 
 import hashlib
+import json
 
 import numpy as np
 import pytest
 
-from bncagg import AggregationContext, ChannelParams, CodeParams, RankDistribution
-from bncagg import ParameterError, TrialConfig, simulate_period
+from bncagg import ParameterError
 from bncagg.gf256 import GF_EXP, GF_LOG, GF_MUL_TABLE, gf256_rank_many
-from bncagg.oracle import GF256_MATRIX
+from capture_corpus import PIN_FUNCTIONS, PINS
 from helpers import gf256_mul_slow, gf256_mul_table_slow, gf256_rank_rows, gf256_rank_slow
 
 SHAPES = [(r, c) for r in range(1, 7) for c in range(1, 7)]
 KINDS = ["uniform", "sparse", "low_rank"]
+PINNED = json.loads(PINS.read_text())
 
 
 def _low_rank(rng, count, rows, cols):
@@ -377,35 +378,7 @@ class TestFieldRange:
 class TestSeededEstimatesPinned:
     """gf256_matrix estimates recorded before the uint8 kernel, bit for bit."""
 
-    CTX = AggregationContext.build(
-        ChannelParams(baseline_plr=0.10),
-        CodeParams(batch_size=4, payload=256, bnc_header=6, integrity=2),
-        RankDistribution.truncated_binomial(4),
-    )
-    PINNED = {
-        1: (
-            0.7660524740190315,
-            0.001378878355800209,
-            (0.0001, 0.03075, 0.1947, 0.5044, 0.27005),
-        ),
-        4: (
-            3.042551828087733,
-            0.006080451225988445,
-            (0.01545, 0.02835, 0.18375, 0.4934, 0.27905),
-        ),
-        16: (
-            12.193949842281873,
-            0.015360054828423914,
-            (0.015675, 0.028475, 0.1800875, 0.4936125, 0.28215),
-        ),
-    }
-
     @pytest.mark.parametrize("n", [1, 4, 16])
     def test_bit_identical(self, n):
-        est = simulate_period(
-            TrialConfig(ctx=self.CTX, n=n, seed=987654321, trials=20_000, mode=GF256_MATRIX)
-        )
-        mean, se, hist = self.PINNED[n]
-        assert est.mean == mean
-        assert est.std_error == se
-        assert est.rank_histogram == hist
+        key = f"period,M=4,plr=0.1,binomial:0.8,N={n},gf256_matrix,trials=20000"
+        assert PIN_FUNCTIONS[key]() == PINNED[key], key

@@ -1,7 +1,4 @@
-import contextlib
 import dataclasses
-import hashlib
-import io
 import json
 import math
 import re
@@ -35,7 +32,6 @@ from bncagg.oracle import (
     _CHUNK,
     GF256_MATRIX,
     RANK_COUNTING,
-    HopEstimate,
     _bernoulli,
     _Coefficients,
     _draw_ranks,
@@ -44,11 +40,13 @@ from bncagg.oracle import (
     simulate_periods,
     uniform_rank_pmf,
 )
+from capture_corpus import PIN_FUNCTIONS, PINS
 from helpers import make_ctx, rank_pmf_bruteforce
 
 CH = ChannelParams(baseline_plr=0.10)
 CODE = CodeParams(batch_size=4, payload=256, bnc_header=6, integrity=2)
 SEED = 987654321
+PINNED = json.loads(PINS.read_text())
 
 
 def table_mul(a, b) -> int:
@@ -248,61 +246,24 @@ class TestChunkBoundaries:
     cut into chunks or in the order of the draws inside one shows here.
     """
 
-    CTX = AggregationContext.build(CH, CODE, RankDistribution.truncated_binomial(4))
-
     def test_period_rank_counting_three_chunks(self):
-        est = simulate_period(
-            TrialConfig(ctx=self.CTX, n=5, seed=SEED, trials=2 * _CHUNK + 1000)
-        )
-        assert est.mean == 3.8173380564171855
-        assert est.std_error == 0.0013300152415035372
-        assert est.rank_histogram == (
-            0.007515597552849961,
-            0.0345054212853595,
-            0.18581228420861348,
-            0.491415288630444,
-            0.28075140832273304,
-        )
+        key = "period,M=4,plr=0.1,binomial:0.8,N=5,rank_counting,trials=132072"
+        assert PIN_FUNCTIONS[key]() == PINNED[key], key
 
     def test_period_gf256_two_chunks(self):
-        est = simulate_period(
-            TrialConfig(
-                ctx=self.CTX, n=3, seed=SEED, trials=_CHUNK + 1000, mode=GF256_MATRIX
-            )
-        )
-        assert est.mean == 2.292187126684525
-        assert est.std_error == 0.0013746811070703246
-        assert est.rank_histogram == (
-            0.001287523546150455,
-            0.039221874874754516,
-            0.19010260109815239,
-            0.4912578654162158,
-            0.2781301350647269,
-        )
+        key = "period,M=4,plr=0.1,binomial:0.8,N=3,gf256_matrix,trials=66536"
+        assert PIN_FUNCTIONS[key]() == PINNED[key], key
 
     def test_end_to_end_three_chunks_per_hop(self):
         # 40k trials at N = M = 4 give 160k one-batch periods per hop.
-        ctx = AggregationContext.build(CH, CODE)
-        assert simulate_end_to_end(ctx, 2, NodeStrategy.fixed(4), SEED, 40_000) == [
-            HopEstimate(hop=1, n=4, throughput=0.8314940540540542,
-                        std_error=0.00041558457901265286),
-            HopEstimate(hop=2, n=4, throughput=0.7621881081081082,
-                        std_error=0.0005053100669789558),
-        ]
+        key = "end_to_end,M=4,plr=0.1,K=256,fixed:4,hops=2,trials=40000"
+        assert PIN_FUNCTIONS[key]() == PINNED[key], key
 
     def test_end_to_end_optimal_scans_each_hop(self):
         # Each hop's N comes from the scan of the population's ranks: 76 at
         # full rank, 75 once the ranks have spread.
-        code = CodeParams(batch_size=4, payload=110, bnc_header=6, integrity=2)
-        ctx = AggregationContext.build(ChannelParams(baseline_plr=0.2), code)
-        assert simulate_end_to_end(ctx, 3, NodeStrategy.optimal(), SEED, 20_000) == [
-            HopEstimate(hop=1, n=76, throughput=0.7426659877596647,
-                        std_error=0.0030712666143031084),
-            HopEstimate(hop=2, n=75, throughput=0.6233727826859442,
-                        std_error=0.0034769638296610725),
-            HopEstimate(hop=3, n=75, throughput=0.5418926017608715,
-                        std_error=0.0037857986384783994),
-        ]
+        key = "end_to_end,M=4,plr=0.2,K=110,optimal,hops=3,trials=20000"
+        assert PIN_FUNCTIONS[key]() == PINNED[key], key
 
 
 class _GivenWords:
@@ -384,74 +345,28 @@ class TestStreamEquivalence:
     def test_gf256_at_m16_pinned(self):
         # Pinned from the int64 draws: with uint8 counts the group key
         # j * (M + 1) + r would overflow at M = 16.
-        ctx = AggregationContext.build(
-            CH,
-            CodeParams(batch_size=16, payload=256, bnc_header=18, integrity=2),
-            RankDistribution.truncated_binomial(16),
-        )
-        est = simulate_period(
-            TrialConfig(ctx=ctx, n=5, seed=SEED, trials=3000, mode=GF256_MATRIX)
-        )
-        assert est.mean == 3.9685423455706585
-        assert est.std_error == 0.004100514447668732
-        assert est.rank_histogram[4:10] == (
-            6.666666666666667e-05,
-            0.00046666666666666666,
-            0.0006,
-            0.0024,
-            0.006866666666666667,
-            0.026733333333333335,
-        )
-        assert est.rank_histogram[16] == 0.006466666666666667
+        key = "period,M=16,plr=0.1,binomial:0.8,N=5,gf256_matrix,trials=3000"
+        assert PIN_FUNCTIONS[key]() == PINNED[key], key
 
     @pytest.mark.parametrize("mode", [RANK_COUNTING, GF256_MATRIX])
     def test_m256_counts_do_not_wrap(self, mode):
         # At PLR 0 every one of the 256 packets arrives, which a uint8 count
         # would read as 0.
-        ctx = AggregationContext.build(
-            ChannelParams(baseline_plr=0.0),
-            CodeParams(batch_size=256, payload=256, bnc_header=258, integrity=2),
-            RankDistribution.truncated_binomial(256, 0.995),
-        )
-        est = simulate_period(TrialConfig(ctx=ctx, n=1, seed=SEED, trials=6, mode=mode))
-        assert est.mean == 0.9973958333333334
-        assert est.std_error == 0.0011886340223549933
-        hist = {k: v for k, v in enumerate(est.rank_histogram) if v}
-        assert hist == {254: 1 / 6, 255: 1 / 3, 256: 0.5}
+        key = f"period,M=256,plr=0.0,binomial:0.995,N=1,{mode},trials=6"
+        assert PIN_FUNCTIONS[key]() == PINNED[key], key
 
-    @pytest.mark.parametrize(
-        "mode, mean, std_error, hist",
-        [
-            (
-                RANK_COUNTING, 3.77429076548682, 0.014275098013074831,
-                (0.05513333333333333, 0.1096, 0.3522666666666667,
-                 0.3957333333333333, 0.08726666666666667),
-            ),
-            (
-                GF256_MATRIX, 3.773006119208574, 0.014268352617215532,
-                (0.05513333333333333, 0.10973333333333334, 0.3525333333333333,
-                 0.3956, 0.087),
-            ),
-        ],
-    )
-    def test_straddling_frames_pinned(self, mode, mean, std_error, hist):
+    @pytest.mark.parametrize("mode", [RANK_COUNTING, GF256_MATRIX])
+    def test_straddling_frames_pinned(self, mode):
         # At N = 6 each period of M = 4 has two frames and a batch split
         # over both; at PLR 0.35 about 1 header in 15 is lost, so the
         # header mask and the per-trial sums both show here.
-        ctx = AggregationContext.build(
-            ChannelParams(baseline_plr=0.35), CODE, RankDistribution.truncated_binomial(4)
-        )
-        est = simulate_period(TrialConfig(ctx=ctx, n=6, seed=SEED, trials=5000, mode=mode))
-        assert (est.mean, est.std_error, est.rank_histogram) == (mean, std_error, hist)
+        key = f"period,M=4,plr=0.35,binomial:0.8,N=6,{mode},trials=5000"
+        assert PIN_FUNCTIONS[key]() == PINNED[key], key
 
     def test_throughput_mc_csv_pinned(self):
         # PLR 0 gives f = d = 1, the bound that no uint64 holds.
-        out = io.StringIO()
-        args = ["throughput", "--mc", "--plr", "0", "--plr", "0.2"]
-        with contextlib.redirect_stdout(out):
-            assert main(args + ["--hops", "4", "--trials", "3000"]) == 0
-        digest = hashlib.md5(out.getvalue().encode()).hexdigest()
-        assert digest == "3f40020db8b7414f95725d63f9960ce2"
+        key = "bncagg throughput --mc --plr 0 --plr 0.2 --hops 4 --trials 3000"
+        assert PIN_FUNCTIONS[key]() == PINNED[key], key
 
 
 class TestUniformRankLaw:
@@ -521,19 +436,10 @@ class TestEnumeratePeriod:
     def test_validate_cells_pinned_bit_for_bit(self):
         # validate's 100 cells, and the GF(256) ones at M <= 4, as float.hex.
         # validate itself shows these only through a 3-digit max delta.
-        path = Path(__file__).resolve().parent / "data" / "enumerate_period_exact_hex.json"
-        pinned = json.loads(path.read_text())
-        assert len(pinned) == 180
-        for key, want in pinned.items():
-            m, n, f, d, law, field = key.split(",")
-            m, n = int(m), int(n)
-            if law == "degenerate":
-                hbar = RankDistribution.degenerate(m)
-            else:
-                hbar = RankDistribution.truncated_binomial(m, 0.8)
-            ctx = make_ctx(m, f=float(f), d=float(d), hbar=hbar)
-            field_size = None if field == "large" else int(field)
-            assert enumerate_period_exact(ctx, n, field_size).hex() == want, key
+        keys = [key for key in PIN_FUNCTIONS if key.startswith("oracle,")]
+        assert len(keys) == 180
+        for key in keys:
+            assert PIN_FUNCTIONS[key]() == PINNED[key], key
 
     def test_validate_fills_the_memo_once(self, capsys):
         # validate's 100 cells are 90 distinct ones: at M = 1 its two rank
