@@ -202,8 +202,11 @@ def cmd_validate(config: ScenarioConfig, out: TextIO) -> int:
         f"max |analytical - exact| = {max_delta:.3e} at {argmax}",
     )
 
-    # Monte Carlo agreement, counting and finite-field modes.
+    # Monte Carlo agreement, counting and finite-field modes, at N = 4.  The
+    # channel is sized to fit N = 4 as above; d and f do not read its size.
     ctx = config.context(config.plrs[0], mode_name)
+    fit = ctx.channel.proto_header + 4 * ctx.code.packet_size
+    ctx = dataclasses.replace(ctx, channel=dataclasses.replace(ctx.channel, max_payload=fit))
     analytical = expected_rank_increment(4, ctx)
     trial = TrialConfig(ctx=ctx, n=4, seed=config.seed, trials=config.trials)
     for est in simulate_periods(trial, (RANK_COUNTING, GF256_MATRIX)):

@@ -11,19 +11,19 @@ own header arrives, follows from pi_N in one dot product, and frame
 efficiency is d * K * E / S(N).
 
 pi_N depends on (M, N, f, d) but not on the rank distribution, so the
-model keeps one read-only plan per (M, rows, f, d, S(1), packet size, K),
-with rows = max(N asked, n_max).  A plan holds the reception table (row
-N - 1 is pi_N, built past n_max when a larger N is asked for), the factors
-N / M, the frame sizes S(N), the min(j, r) matrix behind e, d and d * K, and
-the hop transitions that a line network asks for, each built once
-(``_transition``).  E for every N is one product of the plan's table with e,
-and a scan is one argmax.  A scan has two halves: ``_resolve`` returns the
-context's plan with rows N = 1..n_max, all that does not depend on its
-ranks, and ``_scan`` turns a rank distribution into the efficiency profile
-against it; ``optimize_n`` runs both.  A line network resolves its context
-once and scans each hop's ranks, so a hop builds no context and looks up no
-plan, and pays only for its arithmetic.  The plan cache is the model's only
-state, and only this module keys it.
+model keeps one read-only plan per (M, n_max, f, d, S(1), packet size, K):
+each context has exactly one, with rows N = 1..n_max, and E, pi_N and
+efficiency are defined on those N only.  A plan holds the reception table
+(row N - 1 is pi_N), the factors N / M, the frame sizes S(N), the
+min(j, r) matrix behind e, d and d * K, and the hop transitions that a line
+network asks for, each built once (``_transition``).  E for every N is one
+product of the plan's table with e, and a scan is one argmax.  A scan has
+two halves: ``_resolve`` returns the context's plan, all that does not
+depend on its ranks, and ``_scan`` turns a rank distribution into the
+efficiency profile against it; ``optimize_n`` runs both.  A line network
+resolves its context once and scans each hop's ranks, so a hop builds no
+context and looks up no plan, and pays only for its arithmetic.  The plan
+cache is the model's only state, and only ``_resolve`` keys it.
 The paper's phase-average terms (beta, gamma, omega) compute the same E
 frame by frame; they live in ``tests/reference.py`` and the tests hold this
 module to them.
@@ -54,9 +54,9 @@ from .probability import (
     header_survival,
 )
 
-# Bound on the cached plans.  At M = 32, K = 64 (rows = n_max = 89) a plan's
-# table takes 23 KiB, its min(j, r) matrix 8.3 KiB and each of its
-# transitions 8.5 KiB.  A line network builds one transition per distinct N
+# Bound on the cached plans, one per context.  At M = 32, K = 64 (n_max = 89
+# rows) a plan's table takes 23 KiB, its min(j, r) matrix 8.3 KiB and each of
+# its transitions 8.5 KiB.  A line network builds one transition per distinct N
 # it picks (at most two per plan in the README figures); at two per plan a
 # full cache stays near 6 MiB there.  The worst case is one per row: 790 KiB
 # per plan, 98 MiB for a full cache.
@@ -92,10 +92,7 @@ class AggregationContext:
         """Derive d, f from the channel loss model and the code via the BER p."""
         if rank_dist is None:
             rank_dist = RankDistribution.degenerate(code.batch_size)
-        if channel.ber is not None:
-            p = channel.ber
-        else:
-            p = ber_from_plr(channel.baseline_plr, channel, code)
+        p = ber_from_plr(channel.baseline_plr, channel, code)
         return cls(
             channel=channel,
             code=code,
@@ -117,10 +114,7 @@ class EfficiencyProfile:
     best_n: int
 
     def value(self, n: int) -> float:
-        n = positive_int(n)
-        if n > self.n_max:
-            raise InfeasibleError(f"N={n} outside 1..{self.n_max}")
-        return self.efficiency[n - 1]
+        return self.efficiency[_row(n, self.n_max)]
 
 
 def frame_size(n: int, channel: ChannelParams, code: CodeParams) -> int:
@@ -136,7 +130,7 @@ def frame_size(n: int, channel: ChannelParams, code: CodeParams) -> int:
 
 def max_feasible_n(channel: ChannelParams, code: CodeParams) -> int:
     """Largest n with proto_header + n * packet_size <= max_payload."""
-    n = _capacity(channel, code)
+    n = (channel.max_payload - channel.proto_header) // code.packet_size
     if n < 1:
         raise InfeasibleError(
             f"no feasible aggregation count: payload {channel.max_payload} too"
@@ -155,7 +149,8 @@ def expected_rank_increment(n: int, ctx: AggregationContext) -> float:
     """
     if ctx.d <= 0.0:
         raise ParameterError("header survival is zero; E is undefined")
-    return float(_increments(_plan(ctx, n), ctx.rank_dist)[n - 1])
+    plan = _resolve(ctx)
+    return float(_increments(plan, ctx.rank_dist)[_row(n, plan.sizes.size)])
 
 
 def lineage_reception_pmf(n: int, ctx: AggregationContext) -> np.ndarray:
@@ -167,7 +162,8 @@ def lineage_reception_pmf(n: int, ctx: AggregationContext) -> np.ndarray:
     frames.  The array is row N - 1 of the context's cached reception table,
     shared by every caller: it is read-only.
     """
-    return _plan(ctx, n).table[n - 1]
+    plan = _resolve(ctx)
+    return plan.table[_row(n, plan.sizes.size)]
 
 
 def frame_efficiency(n: int, ctx: AggregationContext) -> float:
@@ -184,9 +180,12 @@ def optimize_n(ctx: AggregationContext) -> tuple[int, EfficiencyProfile]:
     return profile.best_n, profile
 
 
-def _capacity(channel: ChannelParams, code: CodeParams) -> int:
-    """BNC packets that fit in one payload; below 1 when none does."""
-    return (channel.max_payload - channel.proto_header) // code.packet_size
+def _row(n: int, n_max: int) -> int:
+    """The row of N in a plan or profile: E, pi_N and efficiency share 1..n_max."""
+    n = positive_int(n)
+    if n > n_max:
+        raise InfeasibleError(f"N={n} outside 1..{n_max}")
+    return n - 1
 
 
 def _increments(plan: _ScanPlan, ranks: RankDistribution) -> np.ndarray:
@@ -199,7 +198,7 @@ def _increments(plan: _ScanPlan, ranks: RankDistribution) -> np.ndarray:
 
 
 class _ScanPlan(NamedTuple):
-    """The model state of one (M, rows, f, d, S(1), packet size, K).
+    """The model state of one (M, n_max, f, d, S(1), packet size, K).
 
     The arrays are read-only; ``transitions`` maps N to its hop transition
     and is filled only by :func:`_transition`.
@@ -214,37 +213,27 @@ class _ScanPlan(NamedTuple):
     dk: float  # d * K
 
 
-def _plan(ctx: AggregationContext, n: int) -> _ScanPlan:
-    """The context's plan, with rows for N = 1..max(n, n_max)."""
-    code = ctx.code
-    rows = max(positive_int(n), _capacity(ctx.channel, code))
-    s1 = frame_size(1, ctx.channel, code)
-    return _scan_plan(
-        code.batch_size, rows, ctx.f, ctx.d, s1, code.packet_size, code.payload
-    )
-
-
 @functools.lru_cache(maxsize=_PMF_CACHE_SIZE)
 def _scan_plan(
-    m: int, rows: int, f: float, d: float, s1: int, step: int, k: int
+    m: int, n_max: int, f: float, d: float, s1: int, step: int, k: int
 ) -> _ScanPlan:
     groups = {
         size: np.array([bin_d_pmf(i, size, f, d) for i in range(size + 1)])
-        for size in range(1, min(m, rows) + 1)
+        for size in range(1, min(m, n_max) + 1)
     }
 
     @functools.cache  # the same lineage recurs at many N
     def lineage_pmf(sizes: tuple[int, ...]) -> np.ndarray:
         return functools.reduce(np.convolve, (groups[s] for s in sizes), np.ones(1))
 
-    table = np.zeros((rows, m + 1))
+    table = np.zeros((n_max, m + 1))
     for n, row in enumerate(table, start=1):
         lineages = batch_lineages(m, n)
         for sizes in lineages:
             row += lineage_pmf(sizes)
         row /= len(lineages)
-    scale = np.arange(1, rows + 1) / m
-    sizes = s1 + np.arange(rows) * step
+    scale = np.arange(1, n_max + 1) / m
+    sizes = s1 + np.arange(n_max) * step
     mins = np.minimum.outer(np.arange(m + 1.0), np.arange(1.0, m + 1))
     for array in (table, scale, sizes, mins):
         array.flags.writeable = False
@@ -256,7 +245,7 @@ def _transition(n: int, plan: _ScanPlan) -> np.ndarray:
 
     Built the first time a hop asks for it and kept in the plan, so every
     hop with the same plan and N shares it: read-only.  N is at most the
-    plan's row count.
+    plan's n_max.
     """
     t = plan.transitions.get(n)
     if t is None:
@@ -275,7 +264,12 @@ def _resolve(ctx: AggregationContext) -> _ScanPlan:
     A line network resolves its context once and scans each hop's ranks
     against the plan, so a hop looks up no plan and builds no context.
     """
-    return _plan(ctx, max_feasible_n(ctx.channel, ctx.code))
+    code = ctx.code
+    n_max = max_feasible_n(ctx.channel, code)
+    s1 = frame_size(1, ctx.channel, code)
+    return _scan_plan(
+        code.batch_size, n_max, ctx.f, ctx.d, s1, code.packet_size, code.payload
+    )
 
 
 def _scan(plan: _ScanPlan, ranks: RankDistribution) -> EfficiencyProfile:

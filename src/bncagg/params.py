@@ -87,9 +87,8 @@ class ChannelParams:
     ``dl_trailer`` the data-link bytes that may be corrupted (e.g. a frame
     check sequence that is ignored).
 
-    Exactly one of ``baseline_plr`` (loss rate of an unaggregated
-    single-BNC-packet frame) or ``ber`` (independent bit error rate) must be
-    given; the other is derived on demand.
+    ``baseline_plr`` is the loss rate of an unaggregated single-BNC-packet
+    frame and must be given; the model derives the bit error rate from it.
     """
 
     max_payload: int = 9000
@@ -97,15 +96,11 @@ class ChannelParams:
     dl_header: int = 22
     dl_trailer: int = 4
     baseline_plr: float | None = None
-    ber: float | None = None
 
     def __post_init__(self) -> None:
         for name in ("max_payload", "proto_header", "dl_header", "dl_trailer"):
             object.__setattr__(self, name, nonnegative_int(getattr(self, name), name))
-        if (self.baseline_plr is None) == (self.ber is None):
-            raise ParameterError("exactly one of baseline_plr or ber must be set")
-        loss = self.baseline_plr if self.ber is None else self.ber
-        probability(loss, "loss rate", below_one=True)
+        probability(self.baseline_plr, "loss rate", below_one=True)
 
 
 @dataclass(frozen=True)

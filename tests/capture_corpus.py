@@ -15,8 +15,6 @@ verbatim.  ``render`` writes both files.  The corpus cells are:
 * ``line``: a 10-hop exact line network of each K = 256 context under
   ``optimal``, ``largest``, ``fixed:1`` and ``fixed:3``; per hop, N, the
   delivered mass, the efficiency and the incoming rank masses;
-* ``past``: ``expected_rank_increment`` and ``lineage_reception_pmf`` for N
-  up to four past n_max, at MTU 400 and 200;
 * ``period`` and ``end_to_end``: seeded ``simulate_period`` in both modes and
   ``simulate_end_to_end``, at 2000 trials or fewer.
 
@@ -50,15 +48,12 @@ from bncagg import (
     NodeStrategy,
     TrialConfig,
     enumerate_period_exact,
-    expected_rank_increment,
-    max_feasible_n,
     optimize_n,
     simulate_end_to_end,
     simulate_line_network,
     simulate_period,
 )
 from bncagg.cli import main
-from bncagg.frame import lineage_reception_pmf
 from bncagg.oracle import _CHUNK, GF256_MATRIX, RANK_COUNTING
 from bncagg.params import CHECKSUM, FEC
 from bncagg.scenario import ScenarioConfig, parse_rank_dist, parse_strategy
@@ -115,18 +110,6 @@ def line_cells(config: ScenarioConfig, tag: str):
         ]
 
 
-def past_cells():
-    for mtu in (400, 200):
-        for m in BATCH_SIZES:
-            config = ScenarioConfig(mtu=mtu, batch_size=m, payload=64)
-            ctx = config.context(0.2, CHECKSUM)
-            rows = max_feasible_n(ctx.channel, ctx.code) + 4
-            yield f"past,M={m},mtu={mtu}", [
-                [expected_rank_increment(n, ctx).hex(), hexes(lineage_reception_pmf(n, ctx))]
-                for n in range(1, rows + 1)
-            ]
-
-
 def simulator_cells():
     for m, n in ((4, 1), (4, 3), (4, 33), (16, 7)):
         ctx = ScenarioConfig(batch_size=m).context(0.2, CHECKSUM)
@@ -153,7 +136,6 @@ def corpus() -> dict:
                     cells.update(scan_cells(config, tag))
                     if payload == 256:
                         cells.update(line_cells(config, tag))
-    cells.update(past_cells())
     cells.update(simulator_cells())
     return cells
 
@@ -210,7 +192,11 @@ def pin_functions() -> dict:
         (0.1, 4, "binomial:0.8", 5, 2 * _CHUNK + 1000, RANK_COUNTING),
         (0.1, 4, "binomial:0.8", 3, _CHUNK + 1000, GF256_MATRIX),
         (0.1, 16, "binomial:0.8", 5, 3000, GF256_MATRIX),
-        *[(0.0, 256, "binomial:0.995", 1, 6, mode) for mode in (RANK_COUNTING, GF256_MATRIX)],
+        *[
+            (plr, 256, "binomial:0.995", 1, 6, mode)
+            for plr in (0.0, 0.05)
+            for mode in (RANK_COUNTING, GF256_MATRIX)
+        ],
         *[(0.35, 4, "binomial:0.8", 6, 5000, mode) for mode in (RANK_COUNTING, GF256_MATRIX)],
         *[(0.1, 4, "binomial:0.8", n, 20_000, GF256_MATRIX) for n in (1, 4, 16)],
     ]

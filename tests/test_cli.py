@@ -436,16 +436,16 @@ class TestValidateAndConfig:
         assert err.startswith("error: validate needs --trials >= 100")
 
     def test_validate_at_an_mtu_with_only_n_1(self, tmp_path, capsys):
-        # L = 400 fits one BNC packet; validate evaluates E at N = 4 anyway.
-        # An INI file may serve every command, so its mtu is accepted.
-        cfg = tmp_path / "scenario.ini"
-        cfg.write_text("[channel]\nmtu = 400\n")
+        # L = 400 fits one BNC packet and L = 200 none; validate sizes its own
+        # channels, so it evaluates E at N = 4 anyway.  An INI file may serve
+        # every command, so its mtu is accepted.
         argv = ["validate", "--trials", "2000", "--seed", "3"]
-        code, out, _ = run_cli(argv + ["--config", str(cfg)], capsys)
-        assert code == 0
         _, default, _ = run_cli(argv, capsys)
-        assert out == default
-        assert "0 failure(s)" in out
+        assert "0 failure(s)" in default
+        for mtu in (400, 200):
+            cfg = tmp_path / f"mtu{mtu}.ini"
+            cfg.write_text(f"[channel]\nmtu = {mtu}\n")
+            assert run_cli(argv + ["--config", str(cfg)], capsys)[:2] == (0, default), mtu
         # validate reads no MTU, so it takes no --mtu flag.
         with pytest.raises(SystemExit) as exc:
             main(argv + ["--mtu", "400"])

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from bncagg import ParameterError
-from bncagg.gf256 import GF_EXP, GF_LOG, GF_MUL_TABLE, gf256_rank_many
+from bncagg.gf256 import GF_EXP, GF_INV, GF_LOG, GF_MUL_TABLE, gf256_rank_many
 from capture_corpus import PIN_FUNCTIONS, PINS
 from helpers import gf256_mul_slow, gf256_mul_table_slow, gf256_rank_rows, gf256_rank_slow
 
@@ -219,6 +219,10 @@ class TestProductTable:
         assert np.array_equal(GF_MUL_TABLE, log_exp)
         slow = [gf256_mul_slow(a, b) for a in range(256) for b in range(256)]
         assert GF_MUL_TABLE.tolist() == slow
+
+    def test_inverses(self):
+        for a in range(1, 256):
+            assert gf256_mul_slow(a, int(GF_INV[a])) == 1
 
 
 class TestRankKernel:

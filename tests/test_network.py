@@ -15,7 +15,7 @@ from bncagg import (
     simulate_end_to_end,
     simulate_line_network,
 )
-from bncagg import frame, network
+from bncagg import frame, network, oracle
 from bncagg.frame import _transition, lineage_reception_pmf
 from bncagg.network import _evolve_full
 from bncagg.scenario import ScenarioConfig
@@ -90,7 +90,7 @@ class TestReceptionPmf:
 
     def test_matches_bruteforce(self):
         ctx = make_ctx(3, f=0.5, d=0.9)
-        got = _transition(5, frame._plan(ctx, 5))[3]
+        got = _transition(5, frame._resolve(ctx))[3]
         expect = reception_pmf_bruteforce(3, 5, ctx)
         assert np.allclose(got, expect, atol=1e-13)
 
@@ -98,7 +98,7 @@ class TestReceptionPmf:
         # Row r of the hop transition is the next-hop rank pmf of a rank-r
         # batch: nothing above r, and the mass of j >= r received sits at r.
         ctx = make_ctx(4, f=0.6, d=0.8)
-        t = _transition(3, frame._plan(ctx, 3))
+        t = _transition(3, frame._resolve(ctx))
         assert t.shape == (5, 5)
         assert np.allclose(t.sum(axis=1), 1.0, atol=1e-12)
         assert not np.triu(t, k=1).any()
@@ -110,7 +110,7 @@ class TestEvolution:
     def test_lossless_fixed_point(self):
         ctx = make_ctx(4, f=1.0, d=1.0)
         full = np.concatenate(([0.0], RankDistribution.truncated_binomial(4).masses))
-        assert np.allclose(_evolve_full(full, 3, frame._plan(ctx, 3)), full, atol=1e-13)
+        assert np.allclose(_evolve_full(full, 3, frame._resolve(ctx)), full, atol=1e-13)
         trace = simulate_line_network(4, NodeStrategy.fixed(3), ctx)
         for rec in trace.records:
             assert rec.delivered == pytest.approx(1.0, abs=1e-13)
@@ -254,20 +254,21 @@ class TestHopCaches:
         ctx = self.fresh_ctx(0.61807)
         lookups, contexts = [], []
 
-        def counted_plan(ctx, n):
-            lookups.append(n)
-            return real_plan(ctx, n)
+        def counted_resolve(ctx):
+            lookups.append(ctx)
+            return real_resolve(ctx)
 
         def counted_post_init(context):
             contexts.append(context)
             real_post_init(context)
 
-        real_plan = frame._plan
+        real_resolve = frame._resolve
         real_post_init = AggregationContext.__post_init__
-        monkeypatch.setattr(frame, "_plan", counted_plan)
+        for module in (frame, network, oracle):  # each imports it by name
+            monkeypatch.setattr(module, "_resolve", counted_resolve)
         monkeypatch.setattr(AggregationContext, "__post_init__", counted_post_init)
         assert len(simulate(ctx)) == 10
-        assert lookups == [max_feasible_n(ctx.channel, ctx.code)]
+        assert lookups == [ctx]
         assert contexts == []
 
     def test_cache_misses(self):
@@ -276,17 +277,17 @@ class TestHopCaches:
         plans = frame._scan_plan.cache_info().misses
         trace = simulate_line_network(10, NodeStrategy.optimal(), ctx)
         assert frame._scan_plan.cache_info().misses == plans + 1
-        transitions = frame._plan(ctx, 1).transitions
+        transitions = frame._resolve(ctx).transitions
         assert sorted(transitions) == sorted({rec.n for rec in trace.records})
 
     def test_scan_builds_no_transition(self):
         ctx = self.fresh_ctx(0.61805)
         optimize_n(ctx)
-        assert frame._plan(ctx, 1).transitions == {}
+        assert frame._resolve(ctx).transitions == {}
 
     def test_cached_transition_is_read_only(self):
         ctx = make_ctx(4, f=0.6, d=0.8)
-        plan = frame._plan(ctx, 3)
+        plan = frame._resolve(ctx)
         t = _transition(3, plan)
         assert t is _transition(np.int64(3), plan)
         assert t is plan.transitions[3]
