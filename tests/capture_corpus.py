@@ -25,7 +25,8 @@ which its test calls too, are:
   N in 1..5, (f, d) in {(0.6, 0.85), (1, 1)}, the degenerate and
   ``binomial:0.8`` laws) and at the 80 GF(256) ones with M <= 4;
 * ``period`` and ``end_to_end``: seeded runs at seed 987654321 that cross
-  RNG chunk boundaries, straddle frames, or reach M = 16 and M = 256;
+  RNG chunk boundaries, straddle frames, sum a batch's packets in 1- or
+  2-byte words (M = 3 and 6), or reach M = 16 and M = 256;
 * ``bncagg ...``: the stdout of ``validate`` at two seeds and of one
   ``throughput --mc`` run.
 
@@ -198,6 +199,11 @@ def pin_functions() -> dict:
             for mode in (RANK_COUNTING, GF256_MATRIX)
         ],
         *[(0.35, 4, "binomial:0.8", 6, 5000, mode) for mode in (RANK_COUNTING, GF256_MATRIX)],
+        *[
+            (0.2, m, "binomial:0.8", n, 5000, mode)
+            for m, n in ((3, 2), (6, 4))
+            for mode in (RANK_COUNTING, GF256_MATRIX)
+        ],
         *[(0.1, 4, "binomial:0.8", n, 20_000, GF256_MATRIX) for n in (1, 4, 16)],
     ]
     for plr, m, law, n, trials, mode in periods:

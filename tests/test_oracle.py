@@ -313,6 +313,14 @@ class TestStreamEquivalence:
         key = f"period,M=4,plr=0.35,binomial:0.8,N=6,{mode},trials=5000"
         assert PIN_FUNCTIONS[key]() == PINNED[key], key
 
+    @pytest.mark.parametrize("mode", [RANK_COUNTING, GF256_MATRIX])
+    @pytest.mark.parametrize("m, n", [(3, 2), (6, 4)])
+    def test_narrow_word_sums_pinned(self, m, n, mode):
+        # A batch's packets are summed as gcd(M, 8)-byte words: 1 byte at
+        # M = 3 and 2 bytes at M = 6, where the other pins use 4 or 8.
+        key = f"period,M={m},plr=0.2,binomial:0.8,N={n},{mode},trials=5000"
+        assert PIN_FUNCTIONS[key]() == PINNED[key], key
+
     def test_throughput_mc_csv_pinned(self):
         # PLR 0 gives f = d = 1, the bound that no uint64 holds.
         key = "bncagg throughput --mc --plr 0 --plr 0.2 --hops 4 --trials 3000"
