@@ -10,17 +10,19 @@ bit-identical for a given seed regardless of how the work is scheduled.
 Within a chunk the draws are, in order: one word per batch for its rank,
 one per frame for its header, one per packet for its survival, then in
 ``gf256_matrix`` mode one byte per coefficient, two to a word.  A lost
-header clears the survival of its frame's packets in place.  They read
-the same Philox words as ``Generator.random`` and
-``Generator.integers(0, 256)`` would, so the stream is the one those calls
-define, but they skip the float64 and int64 arrays:
+header marks every packet of its frame lost, and a batch receives M minus
+its lost packets.  The draws read the same Philox words as
+``Generator.random`` and ``Generator.integers(0, 256)`` would, so the
+stream is the one those calls define, but they skip the float64 and int64
+arrays:
 
 * ``random()`` maps a 64-bit word w to (w >> 11) * 2^-53, so ``random() < p``
-  holds exactly when w < ceil(p * 2^53) << 11 (``_word_bound``).  Header and
-  packet survival compare raw words with that bound (``_bernoulli``), and a
-  batch's rank is 1 plus the number of cumulative rank masses whose bound
-  its word reaches (``_draw_ranks``), which is what
-  ``searchsorted(cum, random(), "right") + 1`` returns.
+  holds exactly when w < ceil(p * 2^53) << 11 (``_word_bound``).  One
+  reader, ``_reached``, counts per word how many of a list of
+  probabilities its uniform reaches.  Over the one probability d or f that
+  count is the loss of a header or a packet; over the cumulative rank
+  masses, the last left out, it is a batch's rank minus 1, which is what
+  ``searchsorted(cum, random(), "right")`` returns.
 * ``integers(0, 256)`` is Lemire's bounded draw on one 32-bit half-word u,
   which for a range of 256 never rejects and returns u >> 24.  Philox hands
   out a word's low half, then its high half, so the coefficients are bytes
@@ -75,7 +77,7 @@ import numpy as np
 from .frame import AggregationContext, _resolve, frame_size
 from .gf256 import gf256_rank_many
 from .network import NodeStrategy
-from .params import EnumerationSizeError, ParameterError, RankDistribution
+from .params import EnumerationSizeError, ParameterError
 from .params import nonnegative_int, ordered_sum, positive_int
 
 RANK_COUNTING = "rank_counting"
@@ -143,39 +145,24 @@ def _word_bound(p: float) -> int:
     return min(max(math.ceil(p * 2.0**53), 0), 1 << 53) << 11
 
 
-def _raw_blocks(rng: np.random.Generator, out: np.ndarray):
-    """Yield ``(block, words)``: ``out`` in flat blocks, one Philox word per entry."""
+def _reached(rng: np.random.Generator, probs, shape, dtype) -> np.ndarray:
+    """Per entry, how many of ``probs`` its ``rng.random()`` reaches, bit for bit.
+
+    ``random() >= p`` holds exactly when the word is at least
+    ``_word_bound(p)``, so one raw word per entry, drawn ``_BLOCK`` at a
+    time, is compared with each bound; a bound of 2^64 is never reached.
+    With a single probability and ``dtype=bool`` this is
+    ``rng.random(shape) >= p``.
+    """
+    bounds = [np.uint64(b) for b in map(_word_bound, probs) if b < _WORD_LIMIT]
+    out = np.zeros(shape, dtype=dtype)
     flat = out.reshape(-1)
     for start in range(0, flat.size, _BLOCK):
         block = flat[start : start + _BLOCK]
-        yield block, rng.bit_generator.random_raw(block.size)
-
-
-def _bernoulli(rng: np.random.Generator, p: float, shape) -> np.ndarray:
-    """``rng.random(shape) < p`` bit for bit, without the float64 array."""
-    bound = _word_bound(p)
-    out = np.empty(shape, dtype=bool)
-    for block, words in _raw_blocks(rng, out):
-        if bound == _WORD_LIMIT:
-            block.fill(True)
-        else:
-            np.less(words, np.uint64(bound), out=block)
-    return out
-
-
-def _draw_ranks(rng: np.random.Generator, hbar: RankDistribution, shape) -> np.ndarray:
-    """``searchsorted(cum, rng.random(shape), "right") + 1`` bit for bit.
-
-    With the last cumulative mass taken as 1, the rank is 1 plus the number
-    of the other cumulative masses that the uniform reaches.
-    """
-    bounds = [_word_bound(c) for c in np.cumsum(hbar.masses)[:-1]]
-    bounds = [np.uint64(b) for b in bounds if b < _WORD_LIMIT]
-    ranks = np.ones(shape, dtype=np.min_scalar_type(hbar.batch_size))
-    for block, words in _raw_blocks(rng, ranks):
+        words = rng.bit_generator.random_raw(block.size)
         for bound in bounds:
             block += words >= bound
-    return ranks
+    return out
 
 
 class _Coefficients:
@@ -226,23 +213,24 @@ def _received_counts(
     m = ctx.code.batch_size
     trials, batches = shape
     period = batches * m
-    headers = _bernoulli(rng, ctx.d, (trials, period // n))
-    received = _bernoulli(rng, ctx.f, (trials, period))
-    # Row i of this view holds the packets of frame i: clear the rows of the
+    lost_headers = _reached(rng, (ctx.d,), (trials, period // n), bool)
+    lost = _reached(rng, (ctx.f,), (trials, period), bool)
+    # Row i of this view holds the packets of frame i: mark the rows of the
     # lost frames.  Their index takes 8 bytes per lost frame, so it outgrows
-    # ``received`` (N bytes per frame) only if more than N/8 of them are lost.
-    received.reshape(-1, n)[np.flatnonzero(~headers)] = False
-    del headers
+    # ``lost`` (N bytes per frame) only if more than N/8 of them are lost.
+    lost.reshape(-1, n)[np.flatnonzero(lost_headers)] = True
+    del lost_headers
     # Each batch's packets are M adjacent 0/1 bytes.  Read them as w-byte words,
     # w = gcd(M, 8): multiplying a word by 0x01..01 adds its bytes into its
-    # top byte.  Then add the M / w words of each batch as strided slices.
+    # top byte.  Then take the M / w words of each batch, as strided slices,
+    # from M.
     w = math.gcd(m, 8)
-    words = received.view(f"u{w}").reshape(trials, batches, m // w)
+    words = lost.view(f"u{w}").reshape(trials, batches, m // w)
     ones = words.dtype.type(int.from_bytes(b"\x01" * w, "little"))
     top = words.dtype.type(8 * w - 8)
-    counts = np.zeros((trials, batches), dtype=np.min_scalar_type(m))
+    counts = np.full((trials, batches), m, dtype=np.min_scalar_type(m))
     for i in range(m // w):
-        counts += (words[:, :, i] * ones) >> top
+        counts -= (words[:, :, i] * ones) >> top
     return counts
 
 
@@ -305,11 +293,13 @@ def simulate_periods(
         raise ParameterError("header survival is zero; E is undefined")
     frames = math.lcm(m, n) // n
     batches = math.lcm(m, n) // m
+    cum = np.cumsum(ctx.rank_dist.masses)[:-1]  # a rank is 1 + the masses reached
     # Per mode, in the order a chunk serves them: the sum and the sum of
     # squares of the per-trial increments, and the increment histogram.
     sums = {mode: [0.0, 0.0, np.zeros(m + 1)] for mode in _MODES if mode in modes}
     for rows, rng in _chunks(config.seed, config.trials):
-        ranks = _draw_ranks(rng, ctx.rank_dist, (rows.stop - rows.start, batches))
+        ranks = _reached(rng, cum, (rows.stop - rows.start, batches), np.min_scalar_type(m))
+        ranks += 1
         counts = _received_counts(rng, ctx, n, ranks.shape)
         for mode, acc in sums.items():
             if mode == RANK_COUNTING:

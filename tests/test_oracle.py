@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import json
 import math
@@ -32,10 +33,9 @@ from bncagg.oracle import (
     _CHUNK,
     GF256_MATRIX,
     RANK_COUNTING,
-    _bernoulli,
     _Coefficients,
-    _draw_ranks,
     _period_exact,
+    _reached,
     _word_bound,
     simulate_periods,
     uniform_rank_pmf,
@@ -240,9 +240,9 @@ class TestStreamEquivalence:
 
     @pytest.mark.parametrize("p", PROBS)
     @pytest.mark.parametrize("shape", [(5, 7), (3, _BLOCK // 2 + 5), (0, 4)])
-    def test_bernoulli_matches_random(self, p, shape):
-        got = _interleaved(lambda rng: _bernoulli(rng, p, shape))
-        expect = _interleaved(lambda rng: rng.random(shape) < p)
+    def test_reached_matches_random(self, p, shape):
+        got = _interleaved(lambda rng: _reached(rng, (p,), shape, bool))
+        expect = _interleaved(lambda rng: rng.random(shape) >= p)
         for a, b in zip(got, expect):
             assert a.dtype == b.dtype
             np.testing.assert_array_equal(a, b)
@@ -257,12 +257,32 @@ class TestStreamEquivalence:
         words = np.array([w for w in near if 0 <= w < 1 << 64], dtype=np.uint64)
         uniform = (words >> np.uint64(11)) * 2.0**-53
         for p in probs:
-            got = _bernoulli(_GivenWords(words), p, words.shape)
-            np.testing.assert_array_equal(got, uniform < p)
+            got = _reached(_GivenWords(words), (p,), words.shape, bool)
+            np.testing.assert_array_equal(got, uniform >= p)
+        got = _reached(_GivenWords(words), cum[:-1], words.shape, np.uint8) + 1
         cum[-1] = 1.0
         expect = np.searchsorted(cum, uniform, side="right") + 1
-        got = _draw_ranks(_GivenWords(words), hbar, words.shape)
         np.testing.assert_array_equal(got, expect)
+
+    def test_raw_words_have_two_readers(self):
+        # Thresholds are read by _reached and bytes by _Coefficients, the two
+        # maps the tests above hold to numpy's calls; a third reader of raw
+        # words would define the stream a second time.
+        path = Path(__file__).resolve().parent.parent / "src" / "bncagg" / "oracle.py"
+        readers = []
+
+        def visit(node, owner):
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                    visit(child, f"{owner}{child.name}.")
+                    continue
+                if isinstance(child, ast.Attribute) and child.attr == "random_raw":
+                    readers.append(f"{owner.rstrip('.')}:{child.lineno}")
+                visit(child, owner)
+
+        visit(ast.parse(path.read_text()), "")
+        owners = sorted({reader.split(":")[0] for reader in readers})
+        assert owners == ["_Coefficients.__call__", "_reached"], readers
 
     @pytest.mark.parametrize(
         "shape", [(3, 4, 4), (1, 1, 3), (_BLOCK // 15 + 1, 3, 5), (_BLOCK // 7 + 1, 3, 5)]
@@ -280,7 +300,7 @@ class TestStreamEquivalence:
         expect = rng.integers(0, 256, total, dtype=np.int64)
         for split in ([total], pieces):
             rng = np.random.Generator(np.random.Philox(SEED))
-            _bernoulli(rng, 0.5, (3,))
+            _reached(rng, (0.5,), (3,), bool)
             draw = _Coefficients(rng)
             got = np.concatenate([draw(size) for size in split])
             assert got.dtype == np.uint8
