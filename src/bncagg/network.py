@@ -35,7 +35,7 @@ from .frame import (
     _transition,
     lineage_reception_pmf,
 )
-from .params import InfeasibleError, ParameterError, RankDistribution, positive_int
+from .params import ParameterError, RankDistribution, positive_int
 
 OPTIMAL = "optimal"
 LARGEST = "largest"
@@ -75,8 +75,7 @@ class NodeStrategy:
             return profile.best_n
         if self.kind == LARGEST:
             return profile.n_max
-        if self.n > profile.n_max:
-            raise InfeasibleError(f"fixed N={self.n} is not feasible")
+        profile.value(self.n)  # raises InfeasibleError past n_max, as E and pi_N do
         return self.n
 
     def choose(

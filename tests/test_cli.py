@@ -617,6 +617,14 @@ class TestConfigBoundary:
         assert err.startswith(f"error: {message}")
         assert out == ""
 
+    @pytest.mark.parametrize("extra", [[], ["--mc", "--trials", "200"]], ids=["exact", "mc"])
+    def test_infeasible_fixed_n_is_usage_error(self, capsys, extra):
+        # The strategy checks N as E, pi_N and the efficiency do.
+        args = ["throughput", "--strategy", "fixed:40", "--plr", "0.1",
+                "--integrity", "checksum", "--hops", "2"]
+        code, out, err = run_cli(args + extra, capsys)
+        assert (code, out, err) == (2, "", "error: N=40 outside 1..33\n")
+
     @pytest.mark.parametrize(
         "extra,hop", [([], 36), (["--mc", "--trials", "200"], 2)], ids=["exact", "mc"]
     )
