@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import numbers
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -87,15 +87,16 @@ class ChannelParams:
     ``dl_trailer`` the data-link bytes that may be corrupted (e.g. a frame
     check sequence that is ignored).
 
-    ``baseline_plr`` is the loss rate of an unaggregated single-BNC-packet
-    frame and must be given; the model derives the bit error rate from it.
+    ``baseline_plr``, a required keyword, is the loss rate of an
+    unaggregated single-BNC-packet frame, in [0, 1); the model derives the
+    bit error rate from it.
     """
 
     max_payload: int = 9000
     proto_header: int = 28
     dl_header: int = 22
     dl_trailer: int = 4
-    baseline_plr: float | None = None
+    baseline_plr: float = field(kw_only=True)
 
     def __post_init__(self) -> None:
         for name in ("max_payload", "proto_header", "dl_header", "dl_trailer"):

@@ -603,7 +603,7 @@ def _replace(**fields):
         (lambda: simulate_periods(
             TrialConfig(ctx=_replace(d=0.0), n=3, seed=SEED, trials=10), (RANK_COUNTING,)),
          "header survival is zero"),
-        (lambda: ChannelParams(), r"loss rate must be in \[0, 1\), got None"),
+        (lambda: ChannelParams(baseline_plr=None), r"loss rate must be in \[0, 1\), got None"),
         (lambda: RankDistribution.degenerate(4, rank=5), r"rank must be in 1\.\.4, got 5"),
     ],
     ids=[
@@ -626,6 +626,13 @@ def test_library_counts_are_checked(call, message):
     # or a misleading extinction error before the counts were checked.
     with pytest.raises(ParameterError, match=message):
         call()
+
+
+def test_channel_loss_rate_is_a_required_keyword():
+    with pytest.raises(TypeError):
+        ChannelParams()
+    with pytest.raises(TypeError):
+        ChannelParams(9000, 28, 22, 4, 0.1)
 
 
 @pytest.mark.parametrize("to_numpy", [np.int64, np.uint32])
