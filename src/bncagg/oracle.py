@@ -160,7 +160,9 @@ def _reached(rng: np.random.Generator, probs, shape, dtype) -> np.ndarray:
     for start in range(0, flat.size, _BLOCK):
         block = flat[start : start + _BLOCK]
         words = rng.bit_generator.random_raw(block.size)
-        for bound in bounds:
+        if bounds:  # the first comparison fills the block, with no temporary
+            np.greater_equal(words, bounds[0], out=block)
+        for bound in bounds[1:]:
             block += words >= bound
     return out
 
@@ -222,8 +224,8 @@ def _received_counts(
     del lost_headers
     # Each batch's packets are M adjacent 0/1 bytes.  Read them as w-byte words,
     # w = gcd(M, 8): multiplying a word by 0x01..01 adds its bytes into its
-    # top byte.  Then take the M / w words of each batch, as strided slices,
-    # from M.
+    # top byte.  Then subtract the M / w words of each batch, as strided
+    # slices, from M.
     w = math.gcd(m, 8)
     words = lost.view(f"u{w}").reshape(trials, batches, m // w)
     ones = words.dtype.type(int.from_bytes(b"\x01" * w, "little"))
