@@ -274,14 +274,14 @@ class TestStreamEquivalence:
         def visit(node, owner):
             for child in ast.iter_child_nodes(node):
                 if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
-                    visit(child, f"{owner}{child.name}.")
+                    visit(child, owner + (child.name,))
                     continue
                 if isinstance(child, ast.Attribute) and child.attr == "random_raw":
-                    readers.append(f"{owner.rstrip('.')}:{child.lineno}")
+                    readers.append((".".join(owner), child.lineno))
                 visit(child, owner)
 
-        visit(ast.parse(path.read_text()), "")
-        owners = sorted({reader.split(":")[0] for reader in readers})
+        visit(ast.parse(path.read_text()), ())
+        owners = sorted({owner for owner, _ in readers})
         assert owners == ["_Coefficients.__call__", "_reached"], readers
 
     @pytest.mark.parametrize(
