@@ -26,10 +26,10 @@ command returns 0 or 1, so a failing run prints nothing on stdout and
 leaves the file as it was.
 
 Two things are built once per process and reused on every call: the argument
-parser (``_parser``; ``build_parser`` still returns a fresh one) and the
-result of ``validate``'s phase-structure grid (``_phase_grid_mismatch``),
-which reads no input.  So a one-shot ``bncagg validate`` still pays the grid
-once, and only a later ``validate`` in the same process skips it.
+parser (``_parser``; ``build_parser`` still returns a fresh one) and the two
+``validate`` lines that read no input (``_input_free_lines``).  So a one-shot
+``bncagg validate`` still computes them once, and only a later ``validate``
+in the same process skips them.
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ import argparse
 import dataclasses
 import functools
 import io
+import itertools
 import math
 import os
 import sys
@@ -53,7 +54,7 @@ from .oracle import (
     simulate_end_to_end,
     simulate_periods,
 )
-from .params import ParameterError, RankDistribution
+from .params import CHECKSUM, ParameterError, RankDistribution
 from .phases import case_ii_sk_pairs, phase_sequence
 from .scenario import BOTH, ScenarioConfig, read_config_file
 
@@ -134,51 +135,30 @@ def cmd_throughput(config: ScenarioConfig, out: TextIO) -> int:
 
 
 @functools.cache
-def _phase_grid_mismatch() -> tuple[int, int] | None:
-    """The first (M, N) of the grid whose phases miss their closed forms, or None.
+def _input_free_lines() -> tuple[tuple[str, bool, str], ...]:
+    """The (name, ok, detail) of ``validate``'s phase-structure and exhaustive-oracle lines.
 
-    The grid reads no input, so a process checks it once.
+    Neither reads the scenario, so a process computes them once.
     """
-    for m in range(2, 41):
-        for n in range(1, 41):
-            g = math.gcd(m, n)
-            period = math.lcm(m, n)
-            phases = phase_sequence(m, n)
-            ok = len(phases) == period // n
-            if m <= n:
-                ok &= sorted(phases) == list(range(g, m + 1, g))
-            else:
-                ok &= phases.count(n) == (m - n + g) // g
-                ok &= len(case_ii_sk_pairs(m, n)) == (m - n + g) // g
-            if not ok:
-                return m, n
-    return None
-
-
-def cmd_validate(config: ScenarioConfig, out: TextIO) -> int:
-    """Phase grid (cached), E against the oracle (contexts built once per M), Monte Carlo."""
-    mode_name = _single_mode(config, "validate")
-    if config.trials < 100:  # fewer trials can all agree: se = 0 FAILs working code
-        raise ParameterError(f"validate needs --trials >= 100, got {config.trials}")
-    failures = 0
-
-    def report(name: str, ok: bool, detail: str) -> None:
-        nonlocal failures
+    worst = None  # the first (M, N) of the grid whose phases miss their closed forms
+    for m, n in itertools.product(range(2, 41), range(1, 41)):
+        g = math.gcd(m, n)
+        phases = phase_sequence(m, n)
+        ok = len(phases) == math.lcm(m, n) // n
+        if m <= n:
+            ok &= sorted(phases) == list(range(g, m + 1, g))
+        else:
+            ok &= phases.count(n) == (m - n + g) // g
+            ok &= len(case_ii_sk_pairs(m, n)) == (m - n + g) // g
         if not ok:
-            failures += 1
-        out.write(f"{'PASS' if ok else 'FAIL'} {name}: {detail}\n")
-
-    worst = _phase_grid_mismatch()
-    report(
-        "phase-structure",
-        worst is None,
-        "period phase counts match closed forms" if worst is None else f"first mismatch at {worst}",
-    )
+            worst = m, n
+            break
 
     # Analytical E against the exhaustive enumeration oracle.  With f and d
-    # pinned, the channel only sizes the reception table: fit N = 1..5.  Each
-    # M's four contexts are built once; the first largest delta names its cell.
-    base = config.context(0.1, mode_name)
+    # pinned, the channel only sizes the reception table: fit N = 1..5.  So
+    # the contexts start from the defaults, and no scenario input reaches
+    # them.  Each M's four are built once; the first largest delta names its cell.
+    base = ScenarioConfig().context(0.1, CHECKSUM)
     max_delta = 0.0
     argmax = None
     for m in range(1, 6):
@@ -196,14 +176,23 @@ def cmd_validate(config: ScenarioConfig, out: TextIO) -> int:
                 delta = abs(expected_rank_increment(n, ctx) - enumerate_period_exact(ctx, n))
                 if delta > max_delta:
                     max_delta, argmax = delta, (m, n, ctx.f, ctx.d)
-    report(
-        "exhaustive-oracle",
-        max_delta < 1e-12,
-        f"max |analytical - exact| = {max_delta:.3e} at {argmax}",
+    return (
+        ("phase-structure", worst is None,
+         "period phase counts match closed forms" if worst is None else f"first mismatch at {worst}"),
+        ("exhaustive-oracle", max_delta < 1e-12,
+         f"max |analytical - exact| = {max_delta:.3e} at {argmax}"),
     )
 
-    # Monte Carlo agreement, counting and finite-field modes, at N = 4.  The
-    # channel is sized to fit N = 4 as above; d and f do not read its size.
+
+def cmd_validate(config: ScenarioConfig, out: TextIO) -> int:
+    """The input-free lines (cached), then Monte Carlo against E at the scenario."""
+    mode_name = _single_mode(config, "validate")
+    if config.trials < 100:  # fewer trials can all agree: se = 0 FAILs working code
+        raise ParameterError(f"validate needs --trials >= 100, got {config.trials}")
+    lines = list(_input_free_lines())
+
+    # Monte Carlo agreement, counting and finite-field modes, at N = 4, on a
+    # channel sized to fit N = 4; d and f do not read its size.
     ctx = config.context(config.plrs[0], mode_name)
     fit = ctx.channel.proto_header + 4 * ctx.code.packet_size
     ctx = dataclasses.replace(ctx, channel=dataclasses.replace(ctx.channel, max_payload=fit))
@@ -220,8 +209,11 @@ def cmd_validate(config: ScenarioConfig, out: TextIO) -> int:
             chance = (1.0 - analytical * ctx.d / 4) ** config.trials
             ok = chance >= 0.0027  # the two-sided 3-sigma level
             detail = f"every trial read 0, which has chance <= {chance:.3e}"
-        report(f"monte-carlo-{est.mode}", ok, detail)
+        lines.append((f"monte-carlo-{est.mode}", ok, detail))
 
+    for name, ok, detail in lines:
+        out.write(f"{'PASS' if ok else 'FAIL'} {name}: {detail}\n")
+    failures = sum(not ok for _, ok, _ in lines)
     out.write(f"{failures} failure(s)\n")
     return 1 if failures else 0
 

@@ -59,14 +59,12 @@ takes each hop's N from ``NodeStrategy.choose``, as the exact line network
 does.  ``enumerate_period_exact`` shares no lineage code with the model
 either: it splits each batch by walking its packet positions frame by
 frame, where the model states the split in closed form by the offset law,
-and it convolves brute-force group pmfs into each batch's.  ``validate`` asks
-for the same cells again and again, so one bounded memo, ``_period_exact``,
-holds each cell's E, a float, per (M, N, f, d, rank masses, field size).
+and it convolves brute-force group pmfs into each batch's.  It keeps no
+state: every call enumerates its cell from scratch.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from collections.abc import Sequence
@@ -347,8 +345,9 @@ def enumerate_period_exact(
     Expectation is additive over the batches of a period, so each batch's
     increment is enumerated over all survival patterns of its own packets and
     the header events of the frames it touches.  The groups come from a walk
-    over the batch's packet positions and its pmf from brute-force group pmfs
-    (:func:`_period_exact`, :func:`_group_pmf_brute`), both model-free.
+    over the batch's packet positions, each of its packets riding frame
+    p // N by its position p, and its pmf from brute-force group pmfs
+    (:func:`_group_pmf_brute`), both model-free.
 
     With ``field_size=None`` a batch of rank r that receives j packets gains
     min(j, r), the large-field model.  With a prime power q it gains the
@@ -360,15 +359,7 @@ def enumerate_period_exact(
     n = positive_int(n)
     if field_size is not None:
         field_size = positive_int(field_size, "field size")
-    return _period_exact(ctx.code.batch_size, n, ctx.f, ctx.d, ctx.rank_dist.masses, field_size)
-
-
-# validate asks for 100 cells, 90 of them distinct; an exception is never cached.
-@functools.lru_cache(maxsize=256)
-def _period_exact(
-    m: int, n: int, f: float, d: float, masses: tuple[float, ...], field_size: int | None
-) -> float:
-    """E of one cell: each batch's packets per frame p // N come from its positions p."""
+    m, f, d, masses = ctx.code.batch_size, ctx.f, ctx.d, ctx.rank_dist.masses
     lineages = [
         [len(list(g)) for _, g in itertools.groupby(range(b, b + m), lambda p: p // n)]
         for b in range(0, math.lcm(m, n), m)

@@ -148,20 +148,27 @@ _STR_KEYS = {key for key, kind in _FIELD_TYPES.items() if kind == "str"}
 def read_config_file(path: str) -> dict:
     """The ``ScenarioConfig`` fields an INI file sets ([channel], [code], [run])."""
     parser = configparser.ConfigParser()
+    bad = f"bad config file {path!r}:"
     try:
         if not parser.read(path):
             raise ParameterError(f"cannot read config file {path!r}")
         entries = {section: parser.items(section) for section in parser.sections()}
     except (configparser.Error, UnicodeDecodeError) as exc:
         detail = " ".join(str(exc).split())  # configparser's messages span lines
-        raise ParameterError(f"bad config file {path!r}: {detail}") from exc
+        raise ParameterError(f"{bad} {detail}") from exc
+    if parser.defaults():  # configparser would copy them into every section
+        raise ParameterError(f"{bad} [DEFAULT] sets {', '.join(parser.defaults())}")
     updates: dict = {}
+    seen: dict = {}  # the section that set each key
     for section, items in entries.items():
         if section not in ("channel", "code", "run"):
             raise ParameterError(f"unknown config section [{section}]")
         for key, raw in items:
             if key not in _INT_KEYS | _STR_KEYS | {"plr", "strategy", "mc"}:
                 raise ParameterError(f"unknown config key {key!r} in [{section}]")
+            if key in seen:  # configparser would keep the last
+                raise ParameterError(f"{bad} {key!r} set in [{seen[key]}] and [{section}]")
+            seen[key] = section
             try:
                 if key in _INT_KEYS:
                     updates[key] = int(raw)

@@ -7,10 +7,9 @@ from pathlib import Path
 import bncagg
 
 CACHES = {
+    "cli._input_free_lines",
     "cli._parser",
-    "cli._phase_grid_mismatch",
     "frame._scan_plan",
-    "oracle._period_exact",
 }
 
 

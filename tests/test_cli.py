@@ -299,14 +299,21 @@ class TestParserReuse:
         assert len(built) == 1
 
 
-class TestPhaseGridCache:
-    """``validate`` checks the input-free phase grid once per process."""
+@pytest.fixture
+def fresh_lines():
+    """Clear ``validate``'s cached input-free lines before and after a test.
 
-    @pytest.fixture(autouse=True)
-    def fresh_grid(self):
-        cli._phase_grid_mismatch.cache_clear()
-        yield
-        cli._phase_grid_mismatch.cache_clear()
+    A test that patches what they read must not see, or leave, a stale line.
+    """
+    cli._input_free_lines.cache_clear()
+    yield
+    cli._input_free_lines.cache_clear()
+
+
+@pytest.mark.usefixtures("fresh_lines")
+class TestPhaseGridCache:
+    """``validate`` computes its two input-free lines, the phase grid's and
+    the exhaustive oracle's, once per process."""
 
     @pytest.mark.parametrize(
         "bad, named",
@@ -329,19 +336,52 @@ class TestPhaseGridCache:
         assert out.endswith("1 failure(s)\n")
 
     def test_grid_runs_once_per_process(self, capsys, monkeypatch):
-        cells = []
-        real = cli.phase_sequence
+        cells, exact = [], []
+        real_phases, real_exact = cli.phase_sequence, cli.enumerate_period_exact
 
-        def counting(m, n):
+        def counting_phases(m, n):
             cells.append((m, n))
-            return real(m, n)
+            return real_phases(m, n)
 
-        monkeypatch.setattr(cli, "phase_sequence", counting)
-        reports = [run_cli(["validate", "--trials", "2000"], capsys) for _ in range(2)]
-        assert len(cells) == len(set(cells)) == 39 * 40
+        def counting_exact(ctx, n):
+            exact.append((ctx, n))
+            return real_exact(ctx, n)
+
+        monkeypatch.setattr(cli, "phase_sequence", counting_phases)
+        monkeypatch.setattr(cli, "enumerate_period_exact", counting_exact)
+        reports, calls = [], []
+        for _ in range(2):
+            reports.append(run_cli(["validate", "--trials", "2000"], capsys))
+            calls.append((len(cells), len(set(cells)), len(exact)))
+            cells.clear()
+            exact.clear()
+        assert calls == [(39 * 40, 39 * 40, 100), (0, 0, 0)]
         assert reports[0] == reports[1]
         assert reports[0][0] == 0
         assert reports[0][1].startswith("PASS phase-structure: ")
+
+    def test_lines_read_no_scenario_input(self, tmp_path, capsys):
+        # What lets the cache go without a key: under any scenario the two
+        # lines are the ones the defaults give.  Each run starts cold.
+        cfg = tmp_path / "layout.ini"
+        cfg.write_text("[channel]\nproto_header = 40\ndl_header = 0\n")
+        scenarios = [
+            [],
+            ["--payload", "110"],
+            ["--integrity", "fec", "--fec-bytes", "7"],
+            ["--batch-size", "8"],
+            ["--rank-dist", "degenerate"],
+            ["--config", str(cfg)],
+        ]
+        heads = []
+        for flags in scenarios:
+            cli._input_free_lines.cache_clear()
+            code, out, _ = run_cli(["validate", "--trials", "2000", *flags], capsys)
+            assert code == 0, flags
+            heads.append(out.splitlines()[:2])
+        assert heads[0][0].startswith("PASS phase-structure: ")
+        assert heads[0][1].startswith("PASS exhaustive-oracle: ")
+        assert heads == [heads[0]] * len(scenarios)
 
 
 class TestValidateAndConfig:
@@ -357,6 +397,7 @@ class TestValidateAndConfig:
         key = "bncagg validate --seed 20250517"
         assert PIN_FUNCTIONS[key]() == PINNED[key], key
 
+    @pytest.mark.usefixtures("fresh_lines")
     def test_failing_validate_report_is_written(self, tmp_path, capsys, monkeypatch):
         # A FAIL report is a result: exit 1 replaces the file with it.
         monkeypatch.setattr(cli, "expected_rank_increment", lambda n, ctx: -1.0)
@@ -377,6 +418,7 @@ class TestValidateAndConfig:
             ([(2, 4, 1.0, "degenerate"), (2, 4, 0.6, "binomial")], "(2, 4, 0.6, 0.85)"),
         ],
     )
+    @pytest.mark.usefixtures("fresh_lines")
     def test_oracle_line_names_the_first_largest_delta(self, tied, named, capsys, monkeypatch):
         # The delta is 0.5 at the two tied cells and 0 elsewhere; the line
         # names the first of them in (M, N, (f, d), rank law) order.
@@ -529,8 +571,13 @@ class TestConfigBoundary:
             b"[run]\nhops = 2\nhops = 3\n",
             b"[code]\nrank_dist = 50%\n",
             b"\xff\xfe[run]\nhops = 2\n",
+            # [DEFAULT] keys apply only if another section exists, so none is taken.
+            b"[DEFAULT]\npayload = 110\n",
+            b"[DEFAULT]\npayload = 110\n[run]\nhops = 3\n",
+            b"[channel]\nmtu = 400\n[code]\nmtu = 9000\n",
         ],
-        ids=["no-section", "repeated-section", "repeated-key", "bare-percent", "not-utf8"],
+        ids=["no-section", "repeated-section", "repeated-key", "bare-percent", "not-utf8",
+             "default-only", "default-with-section", "key-in-two-sections"],
     )
     def test_malformed_ini_is_usage_error(self, tmp_path, capsys, body):
         # Not a traceback with exit 1, which a script reads as a failed check.

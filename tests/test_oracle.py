@@ -27,14 +27,12 @@ from bncagg import (
 from bncagg.frame import _resolve
 from bncagg.probability import bin_d_pmf, binom_pmf
 from bncagg.gf256 import gf256_rank_many
-from bncagg.cli import main
 from bncagg.oracle import (
     _BLOCK,
     _CHUNK,
     GF256_MATRIX,
     RANK_COUNTING,
     _Coefficients,
-    _period_exact,
     _reached,
     _word_bound,
     simulate_periods,
@@ -419,17 +417,6 @@ class TestEnumeratePeriod:
         for key in keys:
             assert PIN_FUNCTIONS[key]() == PINNED[key], key
 
-    def test_validate_fills_the_memo_once(self, capsys):
-        # validate's 100 cells are 90 distinct ones: at M = 1 its two rank
-        # laws are the same law.  A second run in the process reads them all.
-        _period_exact.cache_clear()
-        assert main(["validate", "--trials", "2000"]) == 0
-        assert _period_exact.cache_info().misses == 90
-        assert main(["validate", "--trials", "2000"]) == 0
-        info = _period_exact.cache_info()
-        assert (info.misses, info.hits, info.currsize) == (90, 110, 90)
-        capsys.readouterr()
-
     @pytest.mark.parametrize(
         "m, n, d, field_size, error, message",
         [
@@ -442,25 +429,22 @@ class TestEnumeratePeriod:
         ],
         ids=["too-big", "float-field", "bool-field", "zero-d", "not-prime-power"],
     )
-    def test_errors_are_never_memoized(self, m, n, d, field_size, error, message):
+    def test_errors_name_the_first_bad_input(self, m, n, d, field_size, error, message):
+        # In order: the field size is an integer, the enumeration is small
+        # enough, d is positive, the field size is a prime power.
         ctx = make_ctx(m, f=0.5, d=d)
-        _period_exact.cache_clear()
-        for _ in range(2):
-            with pytest.raises(error, match=re.escape(message)):
-                enumerate_period_exact(ctx, n, field_size=field_size)
-        assert _period_exact.cache_info().currsize == 0
+        with pytest.raises(error, match=re.escape(message)):
+            enumerate_period_exact(ctx, n, field_size=field_size)
 
     def test_numpy_field_size_reads_the_int_entry(self):
         ctx = make_ctx(3, f=0.5, d=0.9, hbar=RankDistribution.truncated_binomial(3, 0.8))
         good = enumerate_period_exact(ctx, 2, field_size=2)
-        size = _period_exact.cache_info().currsize
         got = enumerate_period_exact(ctx, 2, field_size=np.int64(2))
         assert type(got) is float and got == good
-        assert _period_exact.cache_info().currsize == size
 
     def test_masses_given_as_a_list(self):
         # RankDistribution stores its masses as a tuple, so a list and a tuple
-        # give equal laws and one memo key.
+        # give equal laws and the same E.
         listed = make_ctx(3, f=0.6, d=0.85, hbar=RankDistribution([0.25, 0.25, 0.5]))
         tupled = make_ctx(3, f=0.6, d=0.85, hbar=RankDistribution((0.25, 0.25, 0.5)))
         assert enumerate_period_exact(listed, 2) == enumerate_period_exact(tupled, 2)
