@@ -172,29 +172,26 @@ class _Coefficients:
     Philox hands out the low half of a word first and keeps the high half for
     its next 32-bit draw.  So the coefficients are bytes 3 and 7 of
     consecutive raw words, read here in one raw draw per call (a call asks
-    for one piece of ``_gf_increments``); a draw of odd size keeps the last
-    word's byte 7 for the next draw, as Philox keeps the half-word.  This
+    for one piece of ``_gf_increments``); an odd draw leaves byte 7 unread,
+    as Philox keeps the half-word, and the next draw reads it first.  This
     holds only if ``rng`` holds no spare half-word when the first draw is
     made: a fresh generator does not, and raw draws never set one.
     """
 
     def __init__(self, rng: np.random.Generator) -> None:
         self._rng = rng
-        self._spare = None
+        self._unread = np.empty(0, dtype=np.uint8)  # at most one byte
 
     def __call__(self, size: int) -> np.ndarray:
-        out = np.empty(size, dtype=np.uint8)
-        rest = out
-        if self._spare is not None and size:
-            out[0], self._spare = self._spare, None
-            rest = out[1:]
-        words = self._rng.bit_generator.random_raw((rest.size + 1) // 2)
-        words = words.astype("<u8", copy=False).view(np.uint8).reshape(-1, 8)
-        even = rest.size & ~1
-        rest[:even].reshape(-1, 2)[...] = words[: even // 2, 3::4]
-        if rest.size > even:
-            rest[-1], self._spare = words[-1, 3::4]
-        return out
+        held = self._unread.size
+        words = self._rng.bit_generator.random_raw((size - held + 1) // 2)
+        stream = np.empty(held + 2 * words.size, dtype=np.uint8)
+        stream[:held] = self._unread
+        # Cast in numpy's small buffers: no uint32 array the size of the piece.
+        halves = words.astype("<u8", copy=False).view("<u4")
+        np.right_shift(halves, 24, out=stream[held:], casting="unsafe")
+        self._unread = stream[size:].copy()
+        return stream[:size]
 
 
 def _chunks(seed: int, total: int, *key: int):
@@ -243,14 +240,11 @@ def _gf_increments(
     r-dimensional received space are uniform; receiving j of them yields the
     rank of a uniform j x r matrix.  Groups of equal (j, r) are ranked in
     ascending (j, r) order and row-major order within a group, so the stream
-    of random draws is reproducible; a group is drawn and ranked in pieces
-    of at most ``_BLOCK`` coefficients.  The coefficients are bytes 3 and 7
-    of consecutive raw words, and a piece of odd size leaves its last
-    word's byte 7 to the next piece, as Philox leaves its spare 32-bit
-    half-word to the next ``integers`` call.
+    of random draws is reproducible; a group is drawn (``_Coefficients``)
+    and ranked in pieces of at most ``_BLOCK`` coefficients.
     One stable sort on the key j * (M + 1) + r, computed in int64 and stored
     in the narrowest unsigned type, where numpy sorts by radix, yields every
-    group.
+    group; ranks are written in key order and scattered back once.
     """
     groups = (m + 1) ** 2
     key = counts.astype(np.int64) * (m + 1) + ranks
@@ -258,18 +252,18 @@ def _gf_increments(
     order = np.argsort(key, kind="stable")
     sizes = np.bincount(key, minlength=groups)
     ends = np.cumsum(sizes)
-    inc = np.zeros(key.size, dtype=counts.dtype)
+    ranked = np.zeros(key.size, dtype=counts.dtype)
     coefficients = _Coefficients(rng)
-    for k in np.flatnonzero(sizes):
+    # Keys below M + 1 have j = 0, so their rank is 0.
+    for k in np.flatnonzero(sizes[m + 1 :]) + m + 1:
         j, r = divmod(int(k), m + 1)
-        if j == 0:
-            continue
-        group = order[ends[k] - sizes[k] : ends[k]]
         step = max(1, _BLOCK // (j * r))
-        for start in range(0, group.size, step):
-            piece = group[start : start + step]
-            draw = coefficients(piece.size * j * r)
-            inc[piece] = gf256_rank_many(draw.reshape(piece.size, j, r))
+        for start in range(ends[k - 1], ends[k], step):
+            stop = min(start + step, ends[k])
+            draw = coefficients((stop - start) * j * r)
+            ranked[start:stop] = gf256_rank_many(draw.reshape(-1, j, r))
+    inc = np.empty_like(ranked)
+    inc[order] = ranked
     return inc.reshape(counts.shape)
 
 
@@ -360,6 +354,11 @@ def enumerate_period_exact(
     if field_size is not None:
         field_size = positive_int(field_size, "field size")
     m, f, d, masses = ctx.code.batch_size, ctx.f, ctx.d, ctx.rank_dist.masses
+    # A batch over g frames costs 2^(M + g) terms: bound g >= 1 before the walk.
+    if (least := math.lcm(m, n) // m << (m + 1)) > _MAX_ENUM_TERMS:
+        raise EnumerationSizeError(
+            f"enumeration needs at least {least} terms, above the {_MAX_ENUM_TERMS} bound"
+        )
     lineages = [
         [len(list(g)) for _, g in itertools.groupby(range(b, b + m), lambda p: p // n)]
         for b in range(0, math.lcm(m, n), m)

@@ -254,11 +254,15 @@ class TestRankKernel:
     @pytest.mark.parametrize("kind", KINDS)
     @pytest.mark.parametrize(
         "rows, cols",
-        [(2, 2), (2, 3), (3, 2), (2, 4), (4, 4), (3, 5), (5, 3), (8, 8), (32, 32)],
+        [
+            (2, 2), (2, 3), (3, 2), (2, 4), (4, 4), (3, 5), (5, 3), (8, 8), (32, 32),
+            (1, 32), (32, 1),
+        ],
     )
     def test_many_matrix_stacks_match_reference(self, kind, rows, cols):
-        # One trailing column per group, and sparse or low-rank matrices whose
-        # columns are zero from the diagonal down.
+        # One trailing column per group, sparse or low-rank matrices whose
+        # columns are zero from the diagonal down, and long single rows and
+        # columns, which take the same elimination path with no column step.
         rng = np.random.default_rng(rows * cols + KINDS.index(kind))
         mats = _stack(kind, rng, rows, cols, count=256)
         expect = [gf256_rank_rows(m) for m in mats]

@@ -24,6 +24,7 @@ from bncagg import (
     simulate_line_network,
     simulate_period,
 )
+from bncagg import oracle
 from bncagg.frame import _resolve
 from bncagg.probability import bin_d_pmf, binom_pmf
 from bncagg.gf256 import gf256_rank_many
@@ -287,9 +288,9 @@ class TestStreamEquivalence:
     )
     def test_coefficients_match_int64_draw(self, shape):
         # A chunk draws its coefficients after raw words, in pieces whose
-        # sizes may be odd, and some exceed 2 * _BLOCK coefficients.
+        # sizes may be odd or zero, and some exceed 2 * _BLOCK coefficients.
         total = math.prod(shape)
-        sizes = [1, 2, 5, _BLOCK + 1, 4, 2 * _BLOCK + 3]
+        sizes = [1, 0, 2, 5, _BLOCK + 1, 4, 2 * _BLOCK + 3]
         pieces = []
         while sum(pieces) < total:
             pieces.append(min(sizes[len(pieces) % len(sizes)], total - sum(pieces)))
@@ -467,6 +468,20 @@ class TestEnumeratePeriod:
         ctx = make_ctx(18, f=0.5, d=0.9)
         with pytest.raises(EnumerationSizeError):
             enumerate_period_exact(ctx, 5)
+
+    def test_size_guard_runs_before_the_walk(self, monkeypatch):
+        # 10^7 + 1 batches of at least 2^5 terms each: the guard must refuse
+        # them before the position walk, which would take seconds.
+        class NoWalk:
+            @staticmethod
+            def groupby(*args):
+                raise AssertionError("walked the packet positions")
+
+        monkeypatch.setattr(oracle, "itertools", NoWalk)
+        ctx = make_ctx(4, f=0.5, d=0.9)
+        message = "enumeration needs at least 320000032 terms, above the 16777216 bound"
+        with pytest.raises(EnumerationSizeError, match=re.escape(message)):
+            enumerate_period_exact(ctx, 10**7 + 1)
 
     def test_rejects_zero_header_survival(self):
         ctx = make_ctx(3, f=0.5, d=0.0)
