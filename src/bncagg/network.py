@@ -133,9 +133,12 @@ def simulate_line_network(
     """Trace throughput per byte across ``hops`` links of a line network.
 
     The source holds full-rank batches.  At each hop the node selects N from
-    the exact evolved distribution, the throughput is recorded, and the
+    the evolved distribution, the throughput is recorded, and the
     distribution is pushed through the link.  Recoding restores every batch
-    to M outgoing packets, so the loss model is identical at every hop.
+    to M outgoing packets, so the loss model is identical at every hop.  A
+    hop averages over the batch lineages of pi_N: exact at hop 1, and past
+    it only when one lineage pmf serves every batch (N = 1, M | N or N | M;
+    ROADMAP item 15).
     """
     hops = positive_int(hops, "hops")
     plan = _resolve(ctx)

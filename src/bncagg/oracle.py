@@ -146,7 +146,7 @@ def _word_bound(p: float) -> int:
 def _reached(rng: np.random.Generator, probs, shape, dtype) -> np.ndarray:
     """Per entry, how many of ``probs`` its ``rng.random()`` reaches, bit for bit.
 
-    ``random() >= p`` holds exactly when the word is at least
+    ``random() >= p`` holds exactly when the word is not below
     ``_word_bound(p)``, so one raw word per entry, drawn ``_BLOCK`` at a
     time, is compared with each bound; a bound of 2^64 is never reached.
     With a single probability and ``dtype=bool`` this is
@@ -338,10 +338,12 @@ def enumerate_period_exact(
 
     Expectation is additive over the batches of a period, so each batch's
     increment is enumerated over all survival patterns of its own packets and
-    the header events of the frames it touches.  The groups come from a walk
-    over the batch's packet positions, each of its packets riding frame
-    p // N by its position p, and its pmf from brute-force group pmfs
-    (:func:`_group_pmf_brute`), both model-free.
+    the header events of the frames it touches.  A walk over the batch's
+    packet positions, each riding frame p // N by its position p, splits it
+    into groups, and its pmf convolves their brute-force pmfs
+    (:func:`_group_pmf_brute`, once per group size), both model-free.  The
+    size guard counts that work first: about 32 patterns per batch, and
+    fewer than 2^(min(M, N) + 1) over groups of at most min(M, N) packets.
 
     With ``field_size=None`` a batch of rank r that receives j packets gains
     min(j, r), the large-field model.  With a prime power q it gains the
@@ -354,19 +356,10 @@ def enumerate_period_exact(
     if field_size is not None:
         field_size = positive_int(field_size, "field size")
     m, f, d, masses = ctx.code.batch_size, ctx.f, ctx.d, ctx.rank_dist.masses
-    # A batch over g frames costs 2^(M + g) terms: bound g >= 1 before the walk.
-    if (least := math.lcm(m, n) // m << (m + 1)) > _MAX_ENUM_TERMS:
+    period = math.lcm(m, n)
+    if (terms := 32 * (period // m) + (2 << min(m, n))) > _MAX_ENUM_TERMS:
         raise EnumerationSizeError(
-            f"enumeration needs at least {least} terms, above the {_MAX_ENUM_TERMS} bound"
-        )
-    lineages = [
-        [len(list(g)) for _, g in itertools.groupby(range(b, b + m), lambda p: p // n)]
-        for b in range(0, math.lcm(m, n), m)
-    ]
-    cost = sum(2 ** (m + len(groups)) for groups in lineages)
-    if cost > _MAX_ENUM_TERMS:
-        raise EnumerationSizeError(
-            f"enumeration needs {cost} terms, above the {_MAX_ENUM_TERMS} bound"
+            f"enumeration needs {terms} terms, above the {_MAX_ENUM_TERMS} bound"
         )
     if d <= 0.0:
         raise ParameterError("header survival is zero; E is undefined")
@@ -379,13 +372,16 @@ def enumerate_period_exact(
     gains = [
         ordered_sum(masses[r - 1] * rank(j, r) for r in range(1, m + 1)) for j in range(m + 1)
     ]
+    group_pmfs: dict[int, np.ndarray] = {}
     total = 0.0
-    for groups in lineages:
+    for start in range(0, period, m):
         pmf = np.ones(1)
-        for size in groups:
-            pmf = np.convolve(pmf, _group_pmf_brute(size, f, d))
+        for _, group in itertools.groupby(range(start, start + m), lambda p: p // n):
+            if (size := len(list(group))) not in group_pmfs:
+                group_pmfs[size] = _group_pmf_brute(size, f, d)
+            pmf = np.convolve(pmf, group_pmfs[size])
         total += ordered_sum(p * e for p, e in zip(pmf.tolist(), gains))
-    return total / (math.lcm(m, n) // n * d)
+    return total / (period // n * d)
 
 
 def uniform_rank_pmf(j: int, r: int, q: int) -> list[float]:

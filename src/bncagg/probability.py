@@ -78,7 +78,7 @@ def bnc_packet_survival(p: float, code: CodeParams) -> float:
     size = code.packet_size
     if code.integrity_mode == CHECKSUM:
         return (1.0 - p) ** (8 * size)
-    symbol_error = -math.expm1(8.0 * math.log1p(-p)) if p > 0.0 else 0.0
+    symbol_error = -math.expm1(8.0 * math.log1p(-p))
     errors = range(code.integrity // 2 + 1)
     # At a tiny BER the partial sum of the pmf can round to just above 1.
     return min(ordered_sum(binom_pmf(e, size, symbol_error) for e in errors), 1.0)

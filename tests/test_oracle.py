@@ -1,5 +1,6 @@
 import ast
 import dataclasses
+import itertools
 import json
 import math
 import re
@@ -421,10 +422,10 @@ class TestEnumeratePeriod:
     @pytest.mark.parametrize(
         "m, n, d, field_size, error, message",
         [
-            # M = 18, N = 5 is too big to enumerate, and its d = 0 as well.
-            (18, 5, 0.0, 6, EnumerationSizeError, "enumeration needs 29360128 terms"),
-            (18, 5, 0.0, 2.0, ParameterError, "field size must be a positive integer, got 2.0"),
-            (18, 5, 0.0, True, EnumerationSizeError, "enumeration needs 29360128 terms"),
+            # M = N = 24 is too big to enumerate, and its d = 0 as well.
+            (24, 24, 0.0, 6, EnumerationSizeError, "enumeration needs 33554464 terms"),
+            (24, 24, 0.0, 2.0, ParameterError, "field size must be a positive integer, got 2.0"),
+            (24, 24, 0.0, True, EnumerationSizeError, "enumeration needs 33554464 terms"),
             (3, 2, 0.0, None, ParameterError, "header survival is zero"),
             (3, 2, 0.9, 6, ParameterError, "field size must be a prime power, got 6"),
         ],
@@ -465,23 +466,53 @@ class TestEnumeratePeriod:
         assert not found, "\n".join(found)
 
     def test_size_guard(self):
-        ctx = make_ctx(18, f=0.5, d=0.9)
+        ctx = make_ctx(24, f=0.5, d=0.9)
         with pytest.raises(EnumerationSizeError):
-            enumerate_period_exact(ctx, 5)
+            enumerate_period_exact(ctx, 24)
 
     def test_size_guard_runs_before_the_walk(self, monkeypatch):
-        # 10^7 + 1 batches of at least 2^5 terms each: the guard must refuse
-        # them before the position walk, which would take seconds.
+        # 10^7 + 1 batches at M = 4, or 10^6 at M = 1, count 32 terms each:
+        # the guard must refuse them before the position walk, which would
+        # take seconds.
         class NoWalk:
             @staticmethod
             def groupby(*args):
                 raise AssertionError("walked the packet positions")
 
         monkeypatch.setattr(oracle, "itertools", NoWalk)
-        ctx = make_ctx(4, f=0.5, d=0.9)
-        message = "enumeration needs at least 320000032 terms, above the 16777216 bound"
-        with pytest.raises(EnumerationSizeError, match=re.escape(message)):
-            enumerate_period_exact(ctx, 10**7 + 1)
+        for m, n, terms in ((4, 10**7 + 1, 320000064), (1, 10**6, 32000004)):
+            message = f"enumeration needs {terms} terms, above the 16777216 bound"
+            with pytest.raises(EnumerationSizeError, match=re.escape(message)):
+                enumerate_period_exact(make_ctx(m, f=0.5, d=0.9), n)
+
+    def test_matches_analytical_at_large_batches(self, monkeypatch):
+        # The guard counts the batches and the largest group, so M = 32
+        # cells are checked too.  Rank laws skewed to the top and to the
+        # bottom; under ``degenerate`` E = N f for any split, so it would
+        # not see a wrong one.
+        sizes = []
+
+        def brute(size, f, d):
+            sizes.append(size)
+            return group_pmf_brute(size, f, d)
+
+        group_pmf_brute = oracle._group_pmf_brute
+        monkeypatch.setattr(oracle, "_group_pmf_brute", brute)
+        for m, ns in ((16, (3, 5, 12, 31)), (32, (5, 12, 16))):
+            harmonic = [1.0 / r for r in range(1, m + 1)]
+            laws = (
+                RankDistribution.truncated_binomial(m, 0.8),
+                RankDistribution([w / sum(harmonic) for w in harmonic]),
+            )
+            for n, (f, d), hbar in itertools.product(ns, ((0.6, 0.85), (0.3, 0.5)), laws):
+                ctx = make_ctx(m, f=f, d=d, hbar=hbar, mtu=65535)
+                sizes.clear()
+                assert enumerate_period_exact(ctx, n) == pytest.approx(
+                    expected_rank_increment(n, ctx), abs=1e-12
+                ), (m, n, f, d)
+                if (m, n) == (16, 31):
+                    # 31 batches over sizes 1..16: one enumeration per size.
+                    assert sorted(sizes) == list(range(1, 17))
 
     def test_rejects_zero_header_survival(self):
         ctx = make_ctx(3, f=0.5, d=0.0)
