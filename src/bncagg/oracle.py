@@ -372,7 +372,7 @@ def enumerate_period_exact(
     gains = [
         ordered_sum(masses[r - 1] * rank(j, r) for r in range(1, m + 1)) for j in range(m + 1)
     ]
-    group_pmfs: dict[int, np.ndarray] = {}
+    group_pmfs = {}
     total = 0.0
     for start in range(0, period, m):
         pmf = np.ones(1)
